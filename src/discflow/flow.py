@@ -1,33 +1,38 @@
 """Numerical orbit verification on top of the exact family oracles.
 
-Floats live only here: orbits are integrated with an adaptive embedded
-Runge-Kutta 5(4) scheme with dense output, section returns are located by
-sign-change detection on the dense interpolant plus bisection to 1e-12 in
-time, and escape is a terminal radius crossing with outward radial speed.
-The finite-equilibrium scan stays exact (Groebner elimination over the
-rationals) because the global-center criterion hinges on uniqueness of the
-finite equilibrium.
+Floats live only here.  Every orbit runs through one engine: a single
+adaptive Runge-Kutta 5(4) solver (scipy's RK45) with no end time, stepped
+one accepted step at a time with the step's dense interpolant.  Each step
+is scanned for sign changes of y at _SUBDIV points and every change is
+bisected to 1e-12 in time, so section crossings arrive in time order as
+the steps do.  Escape is an outward crossing of the escape radius between
+two step ends, located by the same bisection; the last step is cut there
+and the stream ends.  The return-map verdicts read the crossings of that
+stream, and `integrate` collects its steps into one dense solution.  scipy
+is imported only when an orbit is integrated, so the exact paths never
+load it.  The finite-equilibrium scan stays exact (Groebner elimination
+over the rationals) because the global-center criterion hinges on
+uniqueness of the finite equilibrium.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .compactify import infinite_equilibria
 from .family import FamilyParams, build_system, center_cases
 from .poly import Poly2, VectorField
 from .roots import real_roots
 
-_CHUNK = 30.0
-_FIRST_CHUNK = 8.0
 _T_GUARD = 1e-9
 _SUBDIV = 6
+_SCAN_OFFSETS = np.arange(_SUBDIV + 1) / _SUBDIV
+_TANGENCY = "start is an equilibrium or a section tangency"
 
 
 class StepUnderflow(RuntimeError):
@@ -48,8 +53,9 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_time", "escape_radius", "section_closure_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -112,39 +118,130 @@ def compile_rhs(vf: VectorField):
     return namespace["_rhs"]
 
 
+# -- the orbit engine ----------------------------------------------------------
+
+
+def _bisect_time(g, a: float, b: float, width: float = 1e-12) -> float:
+    """A zero of the scalar g(t) between a and b, where g changes sign."""
+    ga = g(a)
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):  # no float left between a and b
+            break
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (ga > 0.0) != (gm > 0.0):
+            b = mid
+        else:
+            a, ga = mid, gm
+    return 0.5 * (a + b)
+
+
+def _radius_gap(z, r2: float) -> float:
+    return float(z[0] * z[0] + z[1] * z[1] - r2)
+
+
+def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig):
+    """Accepted RK45 steps from x0 as (t0, t1, dense), with no end in time.
+
+    dense(t) interpolates the state over the step.  After an outward
+    crossing of the escape radius the last step is cut at the exit time and
+    the stream ends; a failed step raises StepUnderflow.
+    """
+    from scipy.integrate import RK45
+
+    r2 = cfg.escape_radius**2
+    solver = RK45(
+        compile_rhs(vf), 0.0, np.array(x0, dtype=float), math.inf,
+        rtol=cfg.rel_tol, atol=cfg.abs_tol,
+    )
+    gap = _radius_gap(solver.y, r2)
+    while True:
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepUnderflow(message)
+        t0, t1, dense = solver.t_old, solver.t, solver.dense_output()
+        gap_before, gap = gap, _radius_gap(solver.y, r2)
+        if gap_before <= 0.0 < gap:
+            yield t0, _bisect_time(lambda t: _radius_gap(dense(t), r2), t0, t1), dense
+            return
+        yield t0, t1, dense
+
+
+def _section_crossings(t0: float, t1: float, dense):
+    """Sign changes of y over one step as (t, x, d) in time order, d = +1 upward."""
+    taus = t0 + (t1 - t0) * _SCAN_OFFSETS
+    signs = np.sign(dense(taus)[1])
+    for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
+        tc = _bisect_time(lambda t: float(dense(t)[1]), float(taus[i]), float(taus[i + 1]))
+        yield tc, float(dense(tc)[0]), int(signs[i + 1])
+
+
+def _section_direction(vf: VectorField, x: float) -> int:
+    """+1 or -1 as the flow crosses y = 0 upward or downward at (x, 0); 0 if tangent."""
+    q0 = vf.q.evaluate_float(x, 0.0)
+    return (q0 > 0.0) - (q0 < 0.0)
+
+
+def _read_orbit(
+    vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, direction: int | None
+) -> OrbitVerdict:
+    """The verdict read off one integration from x0.
+
+    direction is the orientation of the return to look for when x0 lies on
+    the section, or None when x0 must first be carried to its first hit of
+    {y = 0, x > 0}; the return map then reads on in the same integration.
+    Each phase gets its own max_time, counted from where it starts, and an
+    exit time is counted from there too.
+    """
+    t_from, x_from, deadline = 0.0, float(x0[0]), cfg.max_time
+    t_end = 0.0
+    try:
+        for t0, t1, dense in _steps(vf, x0, cfg):
+            for tc, xc, d in _section_crossings(t0, t1, dense):
+                if tc > deadline:
+                    break
+                if tc - t_from <= _T_GUARD or xc <= 0.0 or direction not in (None, d):
+                    continue
+                if direction is not None:
+                    closure = abs(xc - x_from)
+                    if closure <= cfg.section_closure_tol:
+                        return OrbitVerdict.periodic(tc - t_from, closure)
+                    return OrbitVerdict.inconclusive(f"section return displaced by {closure:.3e}")
+                direction = _section_direction(vf, xc)
+                if not direction:
+                    return OrbitVerdict.inconclusive(_TANGENCY)
+                t_from, x_from, deadline = tc, xc, tc + cfg.max_time
+            if t1 > deadline:
+                if direction is None:
+                    reason = "orbit never reaches the section {y = 0, x > 0}"
+                else:
+                    reason = "no section return within max_time"
+                return OrbitVerdict.inconclusive(reason)
+            t_end = t1
+    except StepUnderflow as exc:
+        return OrbitVerdict.inconclusive(f"integrator failure: {exc}")
+    return OrbitVerdict.escaping(t_end - t_from)
+
+
 @dataclass
 class Trajectory:
-    """Dense trajectory made of one or more integrator segments."""
+    """A dense orbit: one scipy OdeSolution over the accepted steps."""
 
-    segments: list  # (t_start, OdeSolution) with local times
+    solution: object
     t_end: float
     escaped: bool
     escape_time: float | None
-    end_state: tuple[float, float]
 
     def __call__(self, t: float) -> tuple[float, float]:
-        for t_start, sol in reversed(self.segments):
-            if t >= t_start - 1e-15:
-                z = sol(t - t_start)
-                return float(z[0]), float(z[1])
-        t_start, sol = self.segments[0]
-        z = sol(0.0)
+        z = self.solution(t)
         return float(z[0]), float(z[1])
 
     def sample(self, n: int) -> list[tuple[float, float, float]]:
         ts = np.linspace(0.0, self.t_end, n)
-        return [(float(t), *self(float(t))) for t in ts]
-
-
-def _escape_event(cfg: IntegratorConfig):
-    r2 = cfg.escape_radius**2
-
-    def event(t, z):
-        return z[0] * z[0] + z[1] * z[1] - r2
-
-    event.terminal = True
-    event.direction = 1
-    return event
+        xs, ys = self.solution(ts)
+        return [(float(t), float(x), float(y)) for t, x, y in zip(ts, xs, ys)]
 
 
 def integrate(
@@ -154,105 +251,17 @@ def integrate(
     t_final: float | None = None,
 ) -> Trajectory:
     """Integrate from x0 until t_final (default max_time) or escape."""
+    from scipy.integrate import OdeSolution
+
     cfg = cfg or IntegratorConfig()
     t_final = cfg.max_time if t_final is None else t_final
-    rhs = compile_rhs(vf)
-    event = _escape_event(cfg)
-    segments = []
-    t_done = 0.0
-    state = (float(x0[0]), float(x0[1]))
-    escaped = False
-    escape_time = None
-    while t_done < t_final - 1e-12:
-        span = min(_CHUNK, t_final - t_done)
-        sol = solve_ivp(
-            rhs, (0.0, span), state, method="RK45",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True, events=[event],
-        )
-        if sol.status == -1:
-            raise StepUnderflow(sol.message)
-        segments.append((t_done, sol.sol))
-        t_done += float(sol.t[-1])
-        state = (float(sol.y[0, -1]), float(sol.y[1, -1]))
-        if sol.status == 1:
-            escaped = True
-            escape_time = t_done
-            break
-    return Trajectory(segments, t_done, escaped, escape_time, state)
-
-
-def _bisect_time(dense, a: float, b: float, width: float = 1e-12) -> float:
-    fa = float(dense(a)[1])
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        fm = float(dense(mid)[1])
-        if fm == 0.0:
-            return mid
-        if (fa > 0.0) != (fm > 0.0):
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def _subdivided_times(t_nodes: np.ndarray) -> np.ndarray:
-    """Each solver step interval subdivided _SUBDIV times, as one array."""
-    left = t_nodes[:-1]
-    width = np.diff(t_nodes)
-    offsets = np.arange(_SUBDIV) / _SUBDIV
-    taus = (left[:, None] + width[:, None] * offsets[None, :]).ravel()
-    return np.append(taus, t_nodes[-1])
-
-
-def _first_matching_crossing(vf, start, cfg, direction, t_guard=_T_GUARD):
-    """First crossing of {y=0, x>0} with the requested orientation.
-
-    direction: +1 (y increasing), -1 (y decreasing) or None for either.
-    Returns ("crossing", t, x, d), ("escape", t) or ("timeout",).
-    """
-    rhs = compile_rhs(vf)
-    event = _escape_event(cfg)
-    t_done = 0.0
-    state = (float(start[0]), float(start[1]))
-    chunk = _FIRST_CHUNK
-    while t_done < cfg.max_time - 1e-12:
-        span = min(chunk, cfg.max_time - t_done)
-        chunk = min(2.0 * chunk, _CHUNK * 4)
-        sol = solve_ivp(
-            rhs, (0.0, span), state, method="RK45",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True, events=[event],
-        )
-        if sol.status == -1:
-            raise StepUnderflow(sol.message)
-        dense = sol.sol
-        if len(sol.t) > 1:
-            taus = _subdivided_times(sol.t)
-            zs = dense(taus)
-            ys = zs[1]
-            if direction in (None, -1):
-                down = np.nonzero((ys[:-1] > 0.0) & (ys[1:] < 0.0))[0]
-            else:
-                down = np.empty(0, dtype=int)
-            if direction in (None, 1):
-                up = np.nonzero((ys[:-1] < 0.0) & (ys[1:] > 0.0))[0]
-            else:
-                up = np.empty(0, dtype=int)
-            candidates = sorted(
-                [(int(i), -1) for i in down] + [(int(i), 1) for i in up]
-            )
-            for i, d_here in candidates:
-                tc = _bisect_time(dense, float(taus[i]), float(taus[i + 1]))
-                t_global = t_done + tc
-                if t_global <= t_guard:
-                    continue
-                xc = float(dense(tc)[0])
-                if xc > 0.0:
-                    return ("crossing", t_global, xc, d_here)
-        t_done += float(sol.t[-1])
-        state = (float(sol.y[0, -1]), float(sol.y[1, -1]))
-        if sol.status == 1:
-            return ("escape", t_done)
-    return ("timeout",)
+    ts, pieces = [0.0], []
+    for _, t1, dense in _steps(vf, x0, cfg):
+        ts.append(t1)
+        pieces.append(dense)
+        if t1 > t_final:
+            return Trajectory(OdeSolution(ts, pieces), t_final, False, None)
+    return Trajectory(OdeSolution(ts, pieces), ts[-1], True, ts[-1])
 
 
 def return_map_verdict(
@@ -268,23 +277,10 @@ def return_map_verdict(
     x_start = float(x0[0])
     if float(x0[1]) != 0.0 or x_start <= 0.0:
         raise ValueError("start must lie on the section {y = 0, x > 0}")
-    q0 = vf.q.evaluate_float(x_start, 0.0)
-    if q0 == 0.0:
-        return OrbitVerdict.inconclusive("start is an equilibrium or a section tangency")
-    direction = 1 if q0 > 0 else -1
-    try:
-        res = _first_matching_crossing(vf, (x_start, 0.0), cfg, direction)
-    except StepUnderflow as exc:
-        return OrbitVerdict.inconclusive(f"integrator failure: {exc}")
-    if res[0] == "escape":
-        return OrbitVerdict.escaping(res[1])
-    if res[0] == "timeout":
-        return OrbitVerdict.inconclusive("no section return within max_time")
-    _, t_return, x_return, _ = res
-    closure = abs(x_return - x_start)
-    if closure <= cfg.section_closure_tol:
-        return OrbitVerdict.periodic(t_return, closure)
-    return OrbitVerdict.inconclusive(f"section return displaced by {closure:.3e}")
+    direction = _section_direction(vf, x_start)
+    if not direction:
+        return OrbitVerdict.inconclusive(_TANGENCY)
+    return _read_orbit(vf, (x_start, 0.0), cfg, direction)
 
 
 def orbit_verdict(
@@ -293,7 +289,7 @@ def orbit_verdict(
     """Verdict for an arbitrary initial condition.
 
     Off-section points are carried forward to their first transversal hit of
-    {y = 0, x > 0}, from which the return map decides.
+    {y = 0, x > 0}, and the same integration goes on into the return map.
     """
     cfg = cfg or IntegratorConfig()
     x, y = float(point[0]), float(point[1])
@@ -302,15 +298,7 @@ def orbit_verdict(
     speed = abs(vf.p.evaluate_float(x, y)) + abs(vf.q.evaluate_float(x, y))
     if speed == 0.0:
         return OrbitVerdict.inconclusive("initial condition is an equilibrium")
-    try:
-        res = _first_matching_crossing(vf, (x, y), cfg, direction=None)
-    except StepUnderflow as exc:
-        return OrbitVerdict.inconclusive(f"integrator failure: {exc}")
-    if res[0] == "escape":
-        return OrbitVerdict.escaping(res[1])
-    if res[0] == "timeout":
-        return OrbitVerdict.inconclusive("orbit never reaches the section {y = 0, x > 0}")
-    return return_map_verdict(vf, (res[2], 0.0), cfg)
+    return _read_orbit(vf, (x, y), cfg, None)
 
 
 # -- exact finite-equilibria scan -------------------------------------------

@@ -356,7 +356,3 @@ class VectorField:
 X = Poly2.x()
 Y = Poly2.y()
 
-
-def poly(terms: Mapping[tuple[int, int], Scalar]) -> Poly2:
-    """Shorthand constructor used heavily by tests and fixtures."""
-    return Poly2(terms)

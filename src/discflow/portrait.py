@@ -9,16 +9,10 @@ timestamps or generated ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compactify import InfinityReport
-from .flow import (
-    GlobalVerdict,
-    IntegratorConfig,
-    OrbitVerdict,
-    StepUnderflow,
-    integrate,
-)
+from .flow import GlobalVerdict, IntegratorConfig, StepUnderflow, integrate
 from .poly import VectorField
 
 VERDICT_COLORS = {

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import discflow
 from discflow.cli import main
 
 
@@ -178,3 +182,22 @@ class TestPortrait:
         text = target.read_text()
         assert 'stroke="#2b6cb0"' in text  # periodic orbits
         assert text.count("<polyline") == 16
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--max-time", "nan")])
+    def test_non_finite_setting_exit_three(self, tmp_path, capsys, flag, value):
+        params = write_params(tmp_path, c2="1")
+        code = main(["verify", "--params", params, "--radii", "0.5", flag, value])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(discflow.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, discflow.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

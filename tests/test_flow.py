@@ -40,6 +40,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(max_time=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name", ["rel_tol", "abs_tol", "max_time", "escape_radius", "section_closure_tol"]
+    )
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{name: value})
+
 
 class TestIntegrate:
     def test_harmonic_oscillator_stays_on_circle(self):
@@ -85,6 +93,14 @@ class TestReturnMap:
         v = return_map_verdict(vf, (1.0, 0.0), CFG)
         assert v.tag == "inconclusive"
         assert "displaced" in v.reason
+
+    def test_slow_orbit_return_located(self):
+        # the return comes at t ~ 6.3e5, where adjacent floats lie further
+        # apart than the 1e-12 bisection width
+        slow = VectorField(F(1, 10**5) * Y, -F(1, 10**5) * X)
+        v = return_map_verdict(slow, (1.0, 0.0), IntegratorConfig(max_time=1e6))
+        assert v.tag == "periodic"
+        assert v.period == pytest.approx(2e5 * math.pi, rel=1e-8)
 
     def test_requires_section_point(self):
         with pytest.raises(ValueError):
@@ -144,6 +160,29 @@ class TestOrbitVerdict:
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         v = orbit_verdict(build_system(params), (0.5, 0.5), CFG)
         assert v.tag == "inconclusive"
+
+    # (0, 1) reaches the section at t = pi/2 and returns 2*pi later: each
+    # phase has its own max_time, so 7 suffices although pi/2 + 2*pi > 7.
+    def test_carry_phase_time_budget(self):
+        v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=1.0))
+        assert v.tag == "inconclusive"
+        assert v.reason == "orbit never reaches the section {y = 0, x > 0}"
+
+    def test_return_phase_time_budget(self):
+        v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=6.0))
+        assert v.tag == "inconclusive"
+        assert v.reason == "no section return within max_time"
+
+    def test_each_phase_has_its_own_budget(self):
+        v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=7.0))
+        assert v.tag == "periodic"
+        assert v.period == pytest.approx(2 * math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
+    def test_escape_needs_an_outward_crossing(self, start):
+        # the start already lies outside the escape radius and never crosses it
+        v = orbit_verdict(LINEAR, start, IntegratorConfig(escape_radius=0.5))
+        assert v.tag == "periodic"
 
 
 class TestFirstIntegrals:

@@ -1,28 +1,24 @@
 """Numerical orbit verification on top of the exact family oracles.
 
-Floats live only here.  Every orbit runs through one engine: a single
-adaptive Runge-Kutta 5(4) solver (scipy's RK45) with no end time, stepped
-one accepted step at a time with the step's dense interpolant.  Each step
-is scanned for sign changes of y at _SUBDIV points and every change is
-bisected to 1e-12 in time, so section crossings arrive in time order as
-the steps do.  Escape is an outward crossing of the escape radius between
-two step ends, located by the same bisection; the last step is cut there
-and the stream ends.  The return-map verdicts read the crossings of that
-stream, and `integrate` collects its steps into one dense solution.  scipy
-is imported only when an orbit is integrated, so the exact paths never
-load it.  The finite-equilibrium scan stays exact (Groebner elimination
-over the rationals) because the global-center criterion hinges on
-uniqueness of the finite equilibrium.
+Floats live only here.  Every orbit runs through one engine: scipy's RK45
+(Dormand-Prince 5(4) and its step control) in plain Python floats, with no
+end time, one accepted step at a time, each kept packed in the orbit's record
+(a `Trajectory`).  Sign changes of y within a step are bisected to 1e-12 on
+its dense quartic, so section crossings arrive in time order; escape is an
+outward crossing of the escape radius, where the stream ends.  The return-map
+verdicts read that stream and carry its record, which the portrait draws.
+The finite-equilibrium scan stays exact (Groebner elimination over the
+rationals): the global-center criterion hinges on a unique finite equilibrium.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .compactify import infinite_equilibria
 from .family import FamilyParams, build_system, center_cases
@@ -31,7 +27,7 @@ from .roots import real_roots
 
 _T_GUARD = 1e-9
 _SUBDIV = 6
-_SCAN_OFFSETS = np.arange(_SUBDIV + 1) / _SUBDIV
+_SCAN_OFFSETS = tuple(k / _SUBDIV for k in range(1, _SUBDIV + 1))
 _TANGENCY = "start is an equilibrium or a section tangency"
 
 
@@ -58,6 +54,33 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be finite and positive")
 
 
+@dataclass(eq=False)
+class Trajectory:
+    """The record of one orbit: its accepted steps, 12 floats each, in `steps`.
+
+    A step is t0, h, x, y, then (x, y) of c1..c4, the state at t0 + s*h being
+    (x, y) + s*(c1 + s*(c2 + s*(c3 + s*c4))); an escaped orbit ends at its exit.
+    """
+
+    steps: array = field(default_factory=lambda: array("d"))
+    t_end: float = 0.0
+    escaped: bool = False
+
+    @property
+    def escape_time(self) -> float | None:
+        return self.t_end if self.escaped else None
+
+    def sample(self, n: int, t_end: float | None = None) -> list[tuple[float, float, float]]:
+        """n evenly spaced (t, x, y) over [0, t_end], by default the whole record."""
+        t_end = self.t_end if t_end is None else t_end
+        starts, out = self.steps[::_STRIDE], []
+        for k in range(n):
+            t = t_end * k / max(n - 1, 1)
+            i = max(bisect_right(starts, t) - 1, 0) * _STRIDE
+            out.append((t, *_dense(self.steps[i : i + _STRIDE], t)))
+        return out
+
+
 @dataclass(frozen=True)
 class OrbitVerdict:
     tag: str  # "periodic" | "escaping" | "inconclusive"
@@ -65,60 +88,55 @@ class OrbitVerdict:
     exit_time: float | None = None
     closure_error: float | None = None
     reason: str | None = None
+    # the record the verdict was read from, for drawing; not part of its value
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def periodic(cls, period: float, closure_error: float) -> "OrbitVerdict":
-        return cls("periodic", period=period, closure_error=closure_error)
+    def periodic(cls, period: float, closure_error: float, trajectory=None) -> "OrbitVerdict":
+        return cls("periodic", period=period, closure_error=closure_error, trajectory=trajectory)
 
     @classmethod
-    def escaping(cls, exit_time: float) -> "OrbitVerdict":
-        return cls("escaping", exit_time=exit_time)
+    def escaping(cls, exit_time: float, trajectory=None) -> "OrbitVerdict":
+        return cls("escaping", exit_time=exit_time, trajectory=trajectory)
 
     @classmethod
-    def inconclusive(cls, reason: str) -> "OrbitVerdict":
-        return cls("inconclusive", reason=reason)
+    def inconclusive(cls, reason: str, trajectory=None) -> "OrbitVerdict":
+        return cls("inconclusive", reason=reason, trajectory=trajectory)
 
     def to_json(self) -> dict:
-        out: dict = {"tag": self.tag}
-        if self.period is not None:
-            out["period"] = self.period
-        if self.exit_time is not None:
-            out["exit_time"] = self.exit_time
-        if self.closure_error is not None:
-            out["closure_error"] = self.closure_error
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
+        names = ("tag", "period", "exit_time", "closure_error", "reason")
+        return {name: getattr(self, name) for name in names if getattr(self, name) is not None}
 
 
 def _poly_expr(p: Poly2) -> str:
     if p.is_zero:
         return "0.0"
-    parts = []
-    for (i, j), c in sorted(p.terms.items()):
-        factors = [repr(float(c))]
-        if i:
-            factors.append("x" if i == 1 else f"x**{i}")
-        if j:
-            factors.append("y" if j == 1 else f"y**{j}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    # powers as products: a float product overflows to inf, where x**3 raises
+    return " + ".join(
+        "*".join([repr(float(c))] + ["x"] * i + ["y"] * j) for (i, j), c in sorted(p.terms.items())
+    )
+
+
+def _compile(vf: VectorField) -> dict:
+    """The field as rhs(t, (x, y)) -> (p, q) and as f(z) -> p + iq with z = x + iy."""
+    p, q = _poly_expr(vf.p), _poly_expr(vf.q)
+    src = (
+        f"def rhs(t, z):\n    x, y = z[0], z[1]\n    return ({p}, {q})\n"
+        f"def f(z):\n    x, y = z.real, z.imag\n    return complex({p}, {q})\n"
+    )
+    namespace: dict = {}
+    exec(src, {"__builtins__": {}, "complex": complex}, namespace)
+    return namespace
 
 
 def compile_rhs(vf: VectorField):
     """Compile the field into a float right-hand side f(t, (x, y))."""
-    src = (
-        "def _rhs(t, z):\n"
-        "    x = z[0]\n"
-        "    y = z[1]\n"
-        f"    return ({_poly_expr(vf.p)}, {_poly_expr(vf.q)})\n"
-    )
-    namespace: dict = {}
-    exec(src, {"__builtins__": {}}, namespace)
-    return namespace["_rhs"]
+    return _compile(vf)["rhs"]
 
 
 # -- the orbit engine ----------------------------------------------------------
+
+_STRIDE = 12  # floats per recorded step
 
 
 def _bisect_time(g, a: float, b: float, width: float = 1e-12) -> float:
@@ -138,44 +156,101 @@ def _bisect_time(g, a: float, b: float, width: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _radius_gap(z, r2: float) -> float:
-    return float(z[0] * z[0] + z[1] * z[1] - r2)
+def _dense(step, t: float) -> tuple[float, float]:
+    """The state at time t from a packed step's dense quartic."""
+    t0, h, x, y, c1, d1, c2, d2, c3, d3, c4, d4 = step
+    s = (t - t0) / h
+    return x + s * (c1 + s * (c2 + s * (c3 + s * c4))), y + s * (d1 + s * (d2 + s * (d3 + s * d4)))
 
 
-def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig):
-    """Accepted RK45 steps from x0 as (t0, t1, dense), with no end in time.
+def _norm(w: complex, sx: float, sy: float) -> float:
+    """scipy's RMS norm of (x, y) = (w.real / sx, w.imag / sy)."""
+    x, y = w.real / sx, w.imag / sy
+    return math.sqrt(0.5 * (x * x + y * y))
 
-    dense(t) interpolates the state over the step.  After an outward
-    crossing of the escape radius the last step is cut at the exit time and
-    the stream ends; a failed step raises StepUnderflow.
+
+def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj: Trajectory):
+    """Accepted Dormand-Prince 5(4) steps from x0 as (t1, step), recorded in traj.
+
+    scipy's RK45 tableau, initial step and step control (safety 0.9, factors
+    0.2 to 10, RMS error norm), so these are its steps to rounding; the state
+    x + iy is one complex number and step is packed as in Trajectory.  After
+    an outward crossing of the escape radius the step is cut at the exit and
+    the stream ends; a step below 10 float spacings of t raises StepUnderflow.
     """
-    from scipy.integrate import RK45
-
-    r2 = cfg.escape_radius**2
-    solver = RK45(
-        compile_rhs(vf), 0.0, np.array(x0, dtype=float), math.inf,
-        rtol=cfg.rel_tol, atol=cfg.abs_tol,
-    )
-    gap = _radius_gap(solver.y, r2)
+    f, rtol, atol, r = _compile(vf)["f"], cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
+    t, z = 0.0, complex(x0[0], x0[1])
+    k1 = f(z)
+    sx, sy = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
+    d0, d1 = _norm(z, sx, sy), _norm(k1, sx, sy)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    d2 = _norm(f(z + h0 * k1) - k1, sx, sy) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1)
     while True:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepUnderflow(message)
-        t0, t1, dense = solver.t_old, solver.t, solver.dense_output()
-        gap_before, gap = gap, _radius_gap(solver.y, r2)
-        if gap_before <= 0.0 < gap:
-            yield t0, _bisect_time(lambda t: _radius_gap(dense(t), r2), t0, t1), dense
+        min_step = 10.0 * math.ulp(t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a nan step size fails too
+                raise StepUnderflow("Required step size is less than spacing between numbers.")
+            t1 = t + h_abs
+            h = h_abs = t1 - t
+            k2 = f(z + h * (1 / 5 * k1))
+            k3 = f(z + h * (3 / 40 * k1 + 9 / 40 * k2))
+            k4 = f(z + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+            k5 = f(z + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                            - 212 / 729 * k4))
+            k6 = f(z + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                            - 5103 / 18656 * k5))
+            zn = z + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
+                          + 11 / 84 * k6)
+            k7 = f(zn)
+            e = h * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
+                     - 22 / 525 * k6 + 1 / 40 * k7)
+            err = _norm(e, atol + max(abs(z.real), abs(zn.real)) * rtol,
+                        atol + max(abs(z.imag), abs(zn.imag)) * rtol)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err**-0.2)
+            rejected = True
+        # dense output: the state at t + s*h is z + s*(c1 + s*(c2 + s*(c3 + s*c4)))
+        c1 = h * k1
+        c2 = h * (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
+                  - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
+                  - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
+        c3 = h * (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
+                  + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
+                  + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
+        c4 = h * (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
+                  - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
+                  - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
+        step = (t, h, z.real, z.imag, c1.real, c1.imag, c2.real, c2.imag, c3.real, c3.imag,
+                c4.real, c4.imag)
+        traj.steps.extend(step)
+        escaped = abs(z) <= r < abs(zn)
+        if escaped:
+            t1 = _bisect_time(lambda t: math.hypot(*_dense(step, t)) - r, t, t1)
+        traj.t_end, traj.escaped = t1, escaped
+        yield t1, step
+        if escaped:
             return
-        yield t0, t1, dense
+        t, z, k1 = t1, zn, k7
 
 
-def _section_crossings(t0: float, t1: float, dense):
-    """Sign changes of y over one step as (t, x, d) in time order, d = +1 upward."""
-    taus = t0 + (t1 - t0) * _SCAN_OFFSETS
-    signs = np.sign(dense(taus)[1])
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
-        tc = _bisect_time(lambda t: float(dense(t)[1]), float(taus[i]), float(taus[i + 1]))
-        yield tc, float(dense(tc)[0]), int(signs[i + 1])
+def _section_crossings(t1: float, step):
+    """Sign changes of y over a step up to t1 as (t, x, d) in time order, d = +1 upward."""
+    t0, h, _, y, _, d1, _, d2, _, d3, _, d4 = step
+    ta, ya = t0, y
+    for offset in _SCAN_OFFSETS:
+        tb = t0 + (t1 - t0) * offset
+        s = (tb - t0) / h
+        yb = y + s * (d1 + s * (d2 + s * (d3 + s * d4)))
+        if ya < 0.0 < yb or yb < 0.0 < ya:
+            tc = _bisect_time(lambda t: _dense(step, t)[1], ta, tb)
+            yield tc, _dense(step, tc)[0], 1 if yb > 0.0 else -1
+        ta, ya = tb, yb
 
 
 def _section_direction(vf: VectorField, x: float) -> int:
@@ -187,7 +262,7 @@ def _section_direction(vf: VectorField, x: float) -> int:
 def _read_orbit(
     vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, direction: int | None
 ) -> OrbitVerdict:
-    """The verdict read off one integration from x0.
+    """The verdict read off one integration from x0, carrying its record.
 
     direction is the orientation of the return to look for when x0 lies on
     the section, or None when x0 must first be carried to its first hit of
@@ -195,11 +270,11 @@ def _read_orbit(
     Each phase gets its own max_time, counted from where it starts, and an
     exit time is counted from there too.
     """
+    traj = Trajectory()
     t_from, x_from, deadline = 0.0, float(x0[0]), cfg.max_time
-    t_end = 0.0
     try:
-        for t0, t1, dense in _steps(vf, x0, cfg):
-            for tc, xc, d in _section_crossings(t0, t1, dense):
+        for t1, step in _steps(vf, x0, cfg, traj):
+            for tc, xc, d in _section_crossings(t1, step):
                 if tc > deadline:
                     break
                 if tc - t_from <= _T_GUARD or xc <= 0.0 or direction not in (None, d):
@@ -207,41 +282,22 @@ def _read_orbit(
                 if direction is not None:
                     closure = abs(xc - x_from)
                     if closure <= cfg.section_closure_tol:
-                        return OrbitVerdict.periodic(tc - t_from, closure)
-                    return OrbitVerdict.inconclusive(f"section return displaced by {closure:.3e}")
+                        return OrbitVerdict.periodic(tc - t_from, closure, traj)
+                    reason = f"section return displaced by {closure:.3e}"
+                    return OrbitVerdict.inconclusive(reason, traj)
                 direction = _section_direction(vf, xc)
                 if not direction:
-                    return OrbitVerdict.inconclusive(_TANGENCY)
+                    return OrbitVerdict.inconclusive(_TANGENCY, traj)
                 t_from, x_from, deadline = tc, xc, tc + cfg.max_time
             if t1 > deadline:
                 if direction is None:
                     reason = "orbit never reaches the section {y = 0, x > 0}"
                 else:
                     reason = "no section return within max_time"
-                return OrbitVerdict.inconclusive(reason)
-            t_end = t1
+                return OrbitVerdict.inconclusive(reason, traj)
     except StepUnderflow as exc:
-        return OrbitVerdict.inconclusive(f"integrator failure: {exc}")
-    return OrbitVerdict.escaping(t_end - t_from)
-
-
-@dataclass
-class Trajectory:
-    """A dense orbit: one scipy OdeSolution over the accepted steps."""
-
-    solution: object
-    t_end: float
-    escaped: bool
-    escape_time: float | None
-
-    def __call__(self, t: float) -> tuple[float, float]:
-        z = self.solution(t)
-        return float(z[0]), float(z[1])
-
-    def sample(self, n: int) -> list[tuple[float, float, float]]:
-        ts = np.linspace(0.0, self.t_end, n)
-        xs, ys = self.solution(ts)
-        return [(float(t), float(x), float(y)) for t, x, y in zip(ts, xs, ys)]
+        return OrbitVerdict.inconclusive(f"integrator failure: {exc}", traj)
+    return OrbitVerdict.escaping(traj.t_end - t_from, traj)
 
 
 def integrate(
@@ -250,18 +306,15 @@ def integrate(
     cfg: IntegratorConfig | None = None,
     t_final: float | None = None,
 ) -> Trajectory:
-    """Integrate from x0 until t_final (default max_time) or escape."""
-    from scipy.integrate import OdeSolution
-
+    """The record of the orbit from x0 until t_final (default max_time) or escape."""
     cfg = cfg or IntegratorConfig()
     t_final = cfg.max_time if t_final is None else t_final
-    ts, pieces = [0.0], []
-    for _, t1, dense in _steps(vf, x0, cfg):
-        ts.append(t1)
-        pieces.append(dense)
+    traj = Trajectory()
+    for t1, _ in _steps(vf, x0, cfg, traj):
         if t1 > t_final:
-            return Trajectory(OdeSolution(ts, pieces), t_final, False, None)
-    return Trajectory(OdeSolution(ts, pieces), ts[-1], True, ts[-1])
+            traj.t_end, traj.escaped = t_final, False
+            break
+    return traj
 
 
 def return_map_verdict(
@@ -307,8 +360,6 @@ def orbit_verdict(
 def _to_sympy(p: Poly2, x, y):
     import sympy
 
-    if p.is_zero:
-        return sympy.Integer(0)
     return sympy.Add(
         *[
             sympy.Rational(c.numerator, c.denominator) * x**i * y**j
@@ -327,9 +378,7 @@ def _curve_sample(g_poly, radius: float) -> tuple[float, float] | None:
             coeffs[j] += c * x0**i
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        if not coeffs or all(c == 0 for c in coeffs):
-            continue
-        if len(coeffs) == 1:
+        if len(coeffs) <= 1:
             continue
         for root, _ in real_roots(coeffs):
             pt = (float(x0), root.approx())
@@ -362,20 +411,12 @@ def _poly_box_range(p: Poly2, bx, by) -> tuple[Fraction, Fraction]:
     return total_lo, total_hi
 
 
-def _resultant_coeffs(P, Q, eliminate) -> list[Fraction]:
+def _resultant_coeffs(P, Q, eliminate, keep) -> list[Fraction]:
+    """The resultant of P and Q eliminating `eliminate`, as coefficients in `keep`, lowest first."""
     import sympy
 
-    res = sympy.resultant(P, Q, eliminate)
-    keep = [s for s in (res.free_symbols or set())]
-    if not keep:
-        value = sympy.Rational(res)
-        return [Fraction(value.p, value.q)]
-    poly = sympy.Poly(res, keep[0])
-    coeffs = [Fraction(0)] * (poly.degree() + 1)
-    for (k,), c in poly.terms():
-        c = sympy.Rational(c)
-        coeffs[k] = Fraction(c.p, c.q)
-    return coeffs
+    coeffs = sympy.Poly(sympy.resultant(P, Q, eliminate), keep).all_coeffs()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
 
 
 def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float, float]]:
@@ -386,7 +427,7 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     evaluation or by bounding p and q over the (<= 1e-12 wide) enclosing
     box with exact interval arithmetic.  A common factor of the two
     components (a curve of equilibria) is divided out and witnessed by a
-    single sample point on the curve.
+    single sample point on the curve.  radius may be math.inf.
     """
     import sympy
 
@@ -408,15 +449,12 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
         q_expr = sympy.quo(q_expr, g.as_expr(), x)
         p_local = _from_sympy(p_expr, x, y)
         q_local = _from_sympy(q_expr, x, y)
-    rx = _resultant_coeffs(p_expr, q_expr, y)
-    ry = _resultant_coeffs(p_expr, q_expr, x)
-    if all(c == 0 for c in rx) or all(c == 0 for c in ry):
+    rx = _resultant_coeffs(p_expr, q_expr, y, x)
+    ry = _resultant_coeffs(p_expr, q_expr, x, y)
+    if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
         return sorted(set(found))
-    if len(rx) == 1 or len(ry) == 1:
-        return sorted(set(found))
-    bound = Fraction(int(radius) + 1)
-    xs = [r for r, _ in real_roots(rx) if abs(r.approx()) <= bound]
-    ys = [r for r, _ in real_roots(ry) if abs(r.approx()) <= bound]
+    xs = [r for r, _ in real_roots(rx) if abs(r.approx()) <= radius]
+    ys = [r for r, _ in real_roots(ry) if abs(r.approx()) <= radius]
     for rx_root in xs:
         bx = rx_root.bounds()
         for ry_root in ys:
@@ -551,7 +589,7 @@ def global_center_verdict(
         warnings.warn("parameters do not satisfy any center condition", stacklevel=2)
     vf = build_system(params)
     line = infinite_equilibria(vf).line_of_equilibria
-    extra = tuple(finite_equilibria(vf, cfg.escape_radius))
+    extra = tuple(finite_equilibria(vf, math.inf))
     samples = []
     escape_witness = None
     periodic_seen = False

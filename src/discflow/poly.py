@@ -73,10 +73,6 @@ class Poly2:
         return cls({(0, 0): rat(c)})
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> "Poly2":
-        return cls({(i, j): rat(c)})
-
-    @classmethod
     def x(cls) -> "Poly2":
         return cls({(1, 0): Fraction(1)})
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .compactify import InfinityReport
-from .flow import GlobalVerdict, IntegratorConfig, StepUnderflow, integrate
+from .flow import GlobalVerdict, IntegratorConfig
 from .poly import VectorField
 
 VERDICT_COLORS = {
@@ -29,7 +29,7 @@ class PortraitSpec:
     margin: float = 16.0
     samples_per_orbit: int = 600
     stroke_width: float = 1.1
-    extra_time: float = 25.0
+    extra_time: float = 25.0  # the longest an inconclusive orbit is drawn
 
 
 def disc_projection(x: float, y: float) -> tuple[float, float]:
@@ -84,9 +84,15 @@ def render_portrait(
     spec: PortraitSpec | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> str:
-    """Draw the sampled orbits of a verdict inside the Poincare disc."""
+    """Draw the sampled orbits of a verdict inside the Poincare disc.
+
+    Each orbit is drawn from the record its verdict carries, with no new
+    integration: a periodic orbit over its period, an escaping one to its
+    exit from the escape radius, an inconclusive one to spec.extra_time or
+    its record's end, whichever comes first.  A sample with no record (an
+    equilibrium or tangency start) is skipped.  vf and cfg are not read.
+    """
     spec = spec or PortraitSpec()
-    cfg = cfg or IntegratorConfig()
     svg = _Svg(spec.width, spec.height)
     cx, cy = spec.width / 2.0, spec.height / 2.0
     scale = min(spec.width, spec.height) / 2.0 - spec.margin
@@ -97,20 +103,14 @@ def render_portrait(
 
     svg.circle(cx, cy, scale, stroke="#000000", width=1.5)
 
-    for point, orbit in verdict.samples:
-        color = VERDICT_COLORS[orbit.tag]
-        if orbit.tag == "periodic":
-            t_final = orbit.period
-        elif orbit.tag == "escaping":
-            t_final = orbit.exit_time
-        else:
-            t_final = spec.extra_time
-        try:
-            traj = integrate(vf, point, cfg, t_final=t_final)
-        except StepUnderflow:
+    for _, orbit in verdict.samples:
+        traj = orbit.trajectory
+        if traj is None or not traj.steps:
             continue
-        pts = [to_px(px, py) for _, px, py in traj.sample(spec.samples_per_orbit)]
-        svg.polyline(pts, color, spec.stroke_width)
+        t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, spec.extra_time)
+        samples = traj.sample(spec.samples_per_orbit, min(t_stop, traj.t_end))
+        pts = [to_px(px, py) for _, px, py in samples]
+        svg.polyline(pts, VERDICT_COLORS[orbit.tag], spec.stroke_width)
 
     for eq in verdict.extra_equilibria:
         ex, ey = to_px(eq[0], eq[1])
@@ -121,16 +121,11 @@ def render_portrait(
         svg.circle(cx, cy, scale, stroke="#c53030", width=2.5)
     else:
         for eq in infinity.equilibria:
-            u = eq.u.approx()
-            if eq.chart.value == "U1":
-                angles = [math.atan2(u, 1.0)]
-            else:
-                angles = [math.pi / 2.0]
-            for theta in angles:
-                for sign in (1.0, -1.0):
-                    bx = math.cos(theta) * sign
-                    by = math.sin(theta) * sign
-                    x1, y1 = cx + scale * 0.96 * bx, cy - scale * 0.96 * by
-                    x2, y2 = cx + scale * 1.04 * bx, cy - scale * 1.04 * by
-                    svg.line(x1, y1, x2, y2, "#c53030", 2.0)
+            theta = math.atan2(eq.u.approx(), 1.0) if eq.chart.value == "U1" else math.pi / 2.0
+            for sign in (1.0, -1.0):
+                bx = math.cos(theta) * sign
+                by = math.sin(theta) * sign
+                x1, y1 = cx + scale * 0.96 * bx, cy - scale * 0.96 * by
+                x2, y2 = cx + scale * 1.04 * bx, cy - scale * 1.04 * by
+                svg.line(x1, y1, x2, y2, "#c53030", 2.0)
     return svg.render()

@@ -108,13 +108,6 @@ class RealRoot:
         return f"RealRoot({self.exact_str()})"
 
 
-def _eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[tuple[RealRoot, int]]:
     """Real roots of c2*x^2 + c1*x + c0 with c2 != 0, with multiplicities."""
     disc = c1 * c1 - 4 * c2 * c0

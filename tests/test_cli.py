@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -195,9 +196,35 @@ class TestNumericFlags:
         assert captured.err.startswith("error:")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _env_with_src() -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(discflow.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, discflow.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", probe], env=_env_with_src()).returncode == 0
+
+
+def test_verify_and_portrait_run_without_scipy_or_numpy(tmp_path):
+    # importing either package fails in the subprocess
+    run = (
+        "import sys; sys.modules['scipy'] = sys.modules['numpy'] = None; "
+        "from discflow.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    params = write_params(tmp_path, b1="-1", c1="4", d1="-3")
+    svg = tmp_path / "portrait.svg"
+    commands = [
+        ("verify", "--params", params, "--radii", "1"),
+        ("portrait", "--params", params, "--radii", "1", "--out", str(svg)),
+    ]
+    env = _env_with_src()
+    verify, portrait = (
+        subprocess.run([sys.executable, "-c", run, *cmd], env=env, capture_output=True, text=True)
+        for cmd in commands
+    )
+    assert verify.returncode == 1, verify.stderr
+    assert json.loads(verify.stdout)["tag"] == "not-global"
+    assert portrait.returncode == 0, portrait.stderr
+    assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"

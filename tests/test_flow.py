@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from discflow.family import FamilyParams, build_system, global_cases
 from discflow.flow import (
@@ -80,6 +81,61 @@ class TestIntegrate:
             assert got[1] == pytest.approx(vf.q.evaluate_float(*pt), rel=1e-14)
 
 
+class TestEngineMatchesScipy:
+    """The plain-float Dormand-Prince engine takes scipy's RK45 steps."""
+
+    @pytest.mark.parametrize(
+        "vf",
+        [LINEAR, build_system(FamilyParams.make(a1=1, b1=1, d1=-1))],
+        ids=["linear", "iii-line-a1"],
+    )
+    def test_steps_and_end_state(self, vf):
+        t_final = 50.0
+        solver = RK45(compile_rhs(vf), 0.0, np.array([5.0, 0.0]), math.inf, rtol=1e-10, atol=1e-12)
+        ends = []
+        while solver.t <= t_final:
+            solver.step()
+            ends.append(solver.t)
+        dense = solver.dense_output()
+        traj = integrate(vf, (5.0, 0.0), CFG, t_final=t_final)
+        assert not traj.escaped and traj.t_end == t_final
+        starts = traj.steps[::12]  # 0.0, then the end of every step but the last
+        # rounding differences feed back into the step sizes: the two grids
+        # drift apart by up to about 1e-7 over these 1600 to 3300 steps
+        assert abs(len(starts) - len(ends)) <= 1
+        assert max(abs(a - b) for a, b in zip(starts[1:], ends)) < 1e-6
+        # the end state, and the dense output inside the last step
+        for t in (t_final, 0.5 * (dense.t_old + dense.t)):
+            _, x, y = traj.sample(2, t)[-1]
+            assert math.hypot(x - dense(t)[0], y - dense(t)[1]) < 1e-9
+
+
+class TestRecord:
+    def test_verdict_carries_its_record(self):
+        v = orbit_verdict(LINEAR, (0.0, 1.0), CFG)
+        traj = v.trajectory
+        assert v.tag == "periodic" and len(traj.steps) % 12 == 0
+        # the carry phase (pi/2) and one period (2 pi) are both in the record
+        assert traj.t_end >= math.pi / 2 + v.period
+        _, x, y = traj.sample(2, v.period)[-1]
+        assert math.hypot(x, y - 1.0) < 1e-8
+
+    def test_record_is_not_part_of_the_value(self):
+        v = orbit_verdict(LINEAR, (1.0, 0.0), CFG)
+        bare = dataclasses.replace(v, trajectory=None)
+        assert v.trajectory is not None
+        assert v == bare and hash(v) == hash(bare)
+        assert v.to_json() == bare.to_json() and "trajectory" not in v.to_json()
+        assert repr(v) == repr(bare)
+
+    def test_escaping_record_ends_at_the_exit(self):
+        params = FamilyParams.make(b1=-1, c1=4, d1=-3)
+        v = orbit_verdict(build_system(params), (1.0, 1.0), CFG)
+        assert v.tag == "escaping" and v.trajectory.escaped
+        _, x, y = v.trajectory.sample(2)[-1]
+        assert math.hypot(x, y) == pytest.approx(CFG.escape_radius, rel=1e-9)
+
+
 class TestReturnMap:
     def test_linear_center_period(self):
         v = return_map_verdict(LINEAR, (1.0, 0.0), CFG)
@@ -140,6 +196,13 @@ class TestReturnMap:
         with np.errstate(over="ignore", invalid="ignore"):
             v = return_map_verdict(vf, (1.0, 0.0), cfg)
         assert v.tag == "inconclusive"
+
+    def test_overflowing_start_fails_fast(self):
+        # the cubic field overflows at the start, so the step size is nan
+        vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        v = return_map_verdict(vf, (1e200, 0.0), CFG)
+        assert v.tag == "inconclusive"
+        assert v.reason.startswith("integrator failure")
 
 
 class TestOrbitVerdict:
@@ -240,6 +303,14 @@ class TestFiniteEquilibria:
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         assert finite_equilibria(build_system(params), radius=0.1) == []
 
+    def test_unbounded_radius(self):
+        # real equilibria at (+/- sqrt(1/(4 b1)), 0) = (+/- 1581.1, 0), beyond 1e3
+        vf = build_system(FamilyParams.make(b1=F(1, 10**7), d1=F(3, 10**7)))
+        assert finite_equilibria(vf) == []
+        pts = finite_equilibria(vf, math.inf)
+        assert [round(px, 6) for px, _ in pts] == [-1581.13883, 1581.13883]
+        assert all(py == 0.0 for _, py in pts)
+
     def test_common_factor_curve(self):
         # both components share the factor x: a line of equilibria
         vf = VectorField(X * Y, X * (X - 1))
@@ -289,6 +360,16 @@ class TestGlobalVerdict:
         v1 = global_center_verdict(params, sample_radii=(1.0,), angles=4)
         v2 = global_center_verdict(params, sample_radii=(1.0,), angles=4)
         assert v1.to_json() == v2.to_json()
+
+    def test_extra_equilibria_beyond_escape_radius(self):
+        # center cases i and ii hold, but real equilibria at x = +/- 1581 make
+        # the center non-global; the scan has no radius cut-off
+        params = FamilyParams.make(b1=F(1, 10**7), d1=F(3, 10**7))
+        assert not global_cases(params).is_global
+        v = global_center_verdict(params)
+        assert v.tag == "not-global"
+        assert v.witness in v.extra_equilibria
+        assert abs(abs(v.witness[0]) - 1581.13883) < 1e-4
 
     def test_escape_radius_limitation_documented(self):
         # Genuinely periodic orbits of this member exceed the escape radius

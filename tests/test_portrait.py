@@ -1,9 +1,19 @@
+import dataclasses
 import math
+import xml.etree.ElementTree as ET
 
+import pytest
+
+from discflow import flow
 from discflow.compactify import infinite_equilibria
 from discflow.family import FamilyParams, build_system
-from discflow.flow import IntegratorConfig, global_center_verdict
-from discflow.portrait import PortraitSpec, disc_projection, render_portrait
+from discflow.flow import IntegratorConfig, OrbitVerdict, global_center_verdict
+from discflow.portrait import (
+    VERDICT_COLORS,
+    PortraitSpec,
+    disc_projection,
+    render_portrait,
+)
 
 
 class TestDiscProjection:
@@ -52,3 +62,57 @@ class TestRenderPortrait:
         infinity = infinite_equilibria(vf)
         svg = render_portrait(vf, verdict, infinity, PortraitSpec(width=200, height=200), cfg)
         assert svg.count('stroke="#c53030"') >= 1
+
+
+def _polylines(svg: str, stroke: str) -> list[list[tuple[float, float]]]:
+    root = ET.fromstring(svg)
+    return [
+        [tuple(map(float, pair.split(","))) for pair in line.get("points").split()]
+        for line in root.iter("{http://www.w3.org/2000/svg}polyline")
+        if line.get("stroke") == stroke
+    ]
+
+
+class TestDrawnFromRecords:
+    def test_render_never_integrates(self, monkeypatch):
+        params = FamilyParams.make(b1=-1, c1=4, d1=-3)
+        vf = build_system(params)
+        verdict = global_center_verdict(params, sample_radii=(0.25, 1.0), angles=4)
+        infinity = infinite_equilibria(vf)
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("render_portrait integrated an orbit")
+
+        monkeypatch.setattr(flow, "integrate", no_integration)
+        monkeypatch.setattr(flow, "_steps", no_integration)
+        # a sample with no record (here built by hand) is skipped
+        bare = ((2.0, 0.0), OrbitVerdict.inconclusive("no record"))
+        with_bare = dataclasses.replace(verdict, samples=verdict.samples + (bare,))
+        svg = render_portrait(vf, with_bare, infinity, PortraitSpec(width=200, height=200))
+        assert all(v.trajectory.steps for _, v in verdict.samples)
+        assert svg.count("<polyline") == len(verdict.samples)
+        ET.fromstring(svg)
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            dict(a1=1, b1=1, d1=-1),
+            dict(b1=1, b2=1, d1=-1, d2=1),
+            dict(a2=1, b1=1, d1=-1),
+            dict(a1=1, b1=1, c1=1, d1=3),
+        ],
+        ids=["iii-line-a1", "iii-line-b2", "iii-line-a2", "i-escape"],
+    )
+    def test_escaping_curves_reach_the_boundary(self, base):
+        params = FamilyParams.make(**base)
+        vf = build_system(params)
+        verdict = global_center_verdict(params)
+        spec = PortraitSpec()
+        svg = render_portrait(vf, verdict, infinite_equilibria(vf), spec)
+        curves = _polylines(svg, VERDICT_COLORS["escaping"])
+        assert len(curves) == sum(1 for _, v in verdict.samples if v.tag == "escaping") > 0
+        c = spec.width / 2.0
+        scale = c - spec.margin
+        for curve in curves:
+            px, py = curve[-1]
+            assert 1.0 - math.hypot(px - c, py - c) / scale < 0.02

@@ -7,8 +7,7 @@ end time, one accepted step at a time, each kept packed in the orbit's record
 its dense quartic, so section crossings arrive in time order; escape is an
 outward crossing of the escape radius, where the stream ends.  The return-map
 verdicts read that stream and carry its record, which the portrait draws.
-The finite-equilibrium scan stays exact (Groebner elimination over the
-rationals): the global-center criterion hinges on a unique finite equilibrium.
+The exact scan for other finite equilibria is in `equilibria`.
 """
 
 from __future__ import annotations
@@ -19,11 +18,12 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .compactify import infinite_equilibria
+from .equilibria import finite_equilibria
 from .family import FamilyParams, build_system, center_cases
 from .poly import Poly2, VectorField
-from .roots import real_roots
 
 _T_GUARD = 1e-9
 _SUBDIV = 6
@@ -117,6 +117,7 @@ def _poly_expr(p: Poly2) -> str:
     )
 
 
+@lru_cache
 def _compile(vf: VectorField) -> dict:
     """The field as rhs(t, (x, y)) -> (p, q) and as f(z) -> p + iq with z = x + iy."""
     p, q = _poly_expr(vf.p), _poly_expr(vf.q)
@@ -184,6 +185,8 @@ def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj
     sx, sy = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
     d0, d1 = _norm(z, sx, sy), _norm(k1, sx, sy)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:  # the field overflows at x0
+        raise StepUnderflow(f"initial step size {h0} is not positive")
     d2 = _norm(f(z + h0 * k1) - k1, sx, sy) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1)
@@ -354,144 +357,6 @@ def orbit_verdict(
     return _read_orbit(vf, (x, y), cfg, None)
 
 
-# -- exact finite-equilibria scan -------------------------------------------
-
-
-def _to_sympy(p: Poly2, x, y):
-    import sympy
-
-    return sympy.Add(
-        *[
-            sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-            for (i, j), c in p.terms.items()
-        ]
-    )
-
-
-def _curve_sample(g_poly, radius: float) -> tuple[float, float] | None:
-    """Some real point on the curve g = 0 within the radius, if one is found."""
-    probes = [Fraction(v) for v in (0, 1, -1, Fraction(1, 2), -Fraction(1, 2), 2, -2)]
-    gx = Poly2({(m[0], m[1]): Fraction(c.p, c.q) for m, c in zip(g_poly.monoms(), g_poly.coeffs())})
-    for x0 in probes:
-        coeffs = [Fraction(0)] * (gx.degree + 2)
-        for (i, j), c in gx.terms.items():
-            coeffs[j] += c * x0**i
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) <= 1:
-            continue
-        for root, _ in real_roots(coeffs):
-            pt = (float(x0), root.approx())
-            if math.hypot(*pt) <= radius:
-                return pt
-    return None
-
-
-def _pow_range(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    if k == 0:
-        return Fraction(1), Fraction(1)
-    a, b = lo**k, hi**k
-    if k % 2 == 1:
-        return a, b
-    if lo <= 0 <= hi:
-        return Fraction(0), max(a, b)
-    return min(a, b), max(a, b)
-
-
-def _poly_box_range(p: Poly2, bx, by) -> tuple[Fraction, Fraction]:
-    """Exact rational bounds of p over the box bx x by."""
-    total_lo = Fraction(0)
-    total_hi = Fraction(0)
-    for (i, j), c in p.terms.items():
-        xlo, xhi = _pow_range(bx[0], bx[1], i)
-        ylo, yhi = _pow_range(by[0], by[1], j)
-        products = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
-        total_lo += c * (min(products) if c > 0 else max(products))
-        total_hi += c * (max(products) if c > 0 else min(products))
-    return total_lo, total_hi
-
-
-def _resultant_coeffs(P, Q, eliminate, keep) -> list[Fraction]:
-    """The resultant of P and Q eliminating `eliminate`, as coefficients in `keep`, lowest first."""
-    import sympy
-
-    coeffs = sympy.Poly(sympy.resultant(P, Q, eliminate), keep).all_coeffs()
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
-
-
-def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float, float]]:
-    """All real non-origin equilibria with |(x, y)| <= radius, found exactly.
-
-    Candidate coordinates come from the two elimination resultants of
-    (p, q); each candidate pair is confirmed either by exact rational
-    evaluation or by bounding p and q over the (<= 1e-12 wide) enclosing
-    box with exact interval arithmetic.  A common factor of the two
-    components (a curve of equilibria) is divided out and witnessed by a
-    single sample point on the curve.  radius may be math.inf.
-    """
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    p_expr = _to_sympy(vf.p, x, y)
-    q_expr = _to_sympy(vf.q, x, y)
-    found: list[tuple[float, float]] = []
-    if vf.p.is_zero or vf.q.is_zero:
-        g_poly = sympy.Poly(q_expr if vf.p.is_zero else p_expr, x, y)
-        pt = _curve_sample(g_poly, radius)
-        return [pt] if pt else []
-    g = sympy.gcd(sympy.Poly(p_expr, x, y, domain="QQ"), sympy.Poly(q_expr, x, y, domain="QQ"))
-    p_local, q_local = vf.p, vf.q
-    if sympy.total_degree(g.as_expr()) >= 1:
-        pt = _curve_sample(sympy.Poly(g, x, y), radius)
-        if pt is not None:
-            found.append(pt)
-        p_expr = sympy.quo(p_expr, g.as_expr(), x)
-        q_expr = sympy.quo(q_expr, g.as_expr(), x)
-        p_local = _from_sympy(p_expr, x, y)
-        q_local = _from_sympy(q_expr, x, y)
-    rx = _resultant_coeffs(p_expr, q_expr, y, x)
-    ry = _resultant_coeffs(p_expr, q_expr, x, y)
-    if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
-        return sorted(set(found))
-    xs = [r for r, _ in real_roots(rx) if abs(r.approx()) <= radius]
-    ys = [r for r, _ in real_roots(ry) if abs(r.approx()) <= radius]
-    for rx_root in xs:
-        bx = rx_root.bounds()
-        for ry_root in ys:
-            if rx_root.kind == "rational" and ry_root.kind == "rational":
-                if rx_root.a == 0 and ry_root.a == 0:
-                    continue
-                if (
-                    p_local.evaluate(rx_root.a, ry_root.a) == 0
-                    and q_local.evaluate(rx_root.a, ry_root.a) == 0
-                ):
-                    found.append((float(rx_root.a), float(ry_root.a)))
-                continue
-            by = ry_root.bounds()
-            p_lo, p_hi = _poly_box_range(p_local, bx, by)
-            q_lo, q_hi = _poly_box_range(q_local, bx, by)
-            if p_lo <= 0 <= p_hi and q_lo <= 0 <= q_hi:
-                found.append((rx_root.approx(), ry_root.approx()))
-    found = [pt for pt in found if 0 < math.hypot(*pt) <= radius]
-    found.sort()
-    deduped: list[tuple[float, float]] = []
-    for pt in found:
-        if not any(math.hypot(pt[0] - q[0], pt[1] - q[1]) < 1e-9 for q in deduped):
-            deduped.append(pt)
-    return deduped
-
-
-def _from_sympy(expr, x, y) -> Poly2:
-    import sympy
-
-    poly = sympy.Poly(expr, x, y)
-    terms = {}
-    for (i, j), c in poly.terms():
-        c = sympy.Rational(c)
-        terms[(i, j)] = Fraction(c.p, c.q)
-    return Poly2(terms)
-
-
 # -- first integrals ---------------------------------------------------------
 
 
@@ -541,10 +406,8 @@ class GlobalVerdict:
 
     @property
     def inconclusive_fraction(self) -> float:
-        if not self.samples:
-            return 0.0
         bad = sum(1 for _, v in self.samples if v.tag == "inconclusive")
-        return bad / len(self.samples)
+        return bad / len(self.samples) if self.samples else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -553,19 +416,13 @@ class GlobalVerdict:
             "line_at_infinity": self.line_at_infinity,
             "extra_equilibria": [list(p) for p in self.extra_equilibria],
             "inconclusive_fraction": self.inconclusive_fraction,
-            "samples": [
-                {"point": list(pt), "verdict": v.to_json()} for pt, v in self.samples
-            ],
+            "samples": [{"point": list(pt), "verdict": v.to_json()} for pt, v in self.samples],
         }
 
 
 def sample_points(radii, angles: int = DEFAULT_ANGLES) -> list[tuple[float, float]]:
-    pts = []
-    for r in radii:
-        for k in range(angles):
-            theta = 2.0 * math.pi * k / angles
-            pts.append((float(r) * math.cos(theta), float(r) * math.sin(theta)))
-    return pts
+    thetas = [2.0 * math.pi * k / angles for k in range(angles)]
+    return [(float(r) * math.cos(t), float(r) * math.sin(t)) for r in radii for t in thetas]
 
 
 def global_center_verdict(
@@ -584,29 +441,17 @@ def global_center_verdict(
     """
     cfg = cfg or IntegratorConfig()
     radii = DEFAULT_RADII if sample_radii is None else tuple(sample_radii)
-    report = center_cases(params)
-    if not report.is_center:
+    if not center_cases(params).is_center:
         warnings.warn("parameters do not satisfy any center condition", stacklevel=2)
     vf = build_system(params)
     line = infinite_equilibria(vf).line_of_equilibria
     extra = tuple(finite_equilibria(vf, math.inf))
-    samples = []
-    escape_witness = None
-    periodic_seen = False
-    for pt in sample_points(radii, angles):
-        verdict = orbit_verdict(vf, pt, cfg)
-        samples.append((pt, verdict))
-        if verdict.tag == "escaping" and escape_witness is None:
-            escape_witness = pt
-        if verdict.tag == "periodic":
-            periodic_seen = True
-    if escape_witness is not None or extra:
-        witness = escape_witness if escape_witness is not None else extra[0]
-        tag = "not-global"
-    elif periodic_seen:
-        witness = None
-        tag = "global-center-consistent"
+    samples = [(pt, orbit_verdict(vf, pt, cfg)) for pt in sample_points(radii, angles)]
+    escaping = [pt for pt, v in samples if v.tag == "escaping"]
+    if escaping or extra:
+        tag, witness = "not-global", escaping[0] if escaping else extra[0]
+    elif any(v.tag == "periodic" for _, v in samples):
+        tag, witness = "global-center-consistent", None
     else:
-        witness = None
-        tag = "inconclusive"
+        tag, witness = "inconclusive", None
     return GlobalVerdict(tag, witness, tuple(samples), extra, line)

@@ -7,9 +7,10 @@ are treated as immutable values, so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rational = Fraction
 
@@ -256,7 +257,8 @@ class Poly2:
         return total
 
     def evaluate_float(self, x: float, y: float) -> float:
-        return sum(float(c) * x**i * y**j for (i, j), c in self.terms.items())
+        # powers as products: a float product overflows to inf, where x**3 raises
+        return sum(math.prod((float(c), *[x] * i, *[y] * j)) for (i, j), c in self.terms.items())
 
     # -- canonical text -----------------------------------------------------
 

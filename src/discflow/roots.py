@@ -4,7 +4,8 @@ Roots of linear and quadratic factors are kept in closed form (a rational, or
 a quadratic surd p + q*sqrt(r)); anything of higher degree is isolated into a
 rational interval of width at most 1e-12.  Both forms share the `RealRoot`
 carrier so downstream code can print an exact string or take a float
-approximation without caring which case it got.
+approximation without caring which case it got.  This module is also the one
+bridge to sympy, which the isolation and the equilibrium scan use.
 """
 
 from __future__ import annotations
@@ -85,17 +86,10 @@ class RealRoot:
         if self.kind == "rational":
             return str(self.a)
         if self.kind == "surd":
-            sqrt_part = f"sqrt({self.r})"
-            if self.b == 1:
-                tail = sqrt_part
-            elif self.b == -1:
-                tail = f"-{sqrt_part}"
-            else:
-                tail = f"{self.b}*{sqrt_part}"
-            if self.a == 0:
-                return tail
+            mag = f"sqrt({self.r})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.r})"
             sign = "+" if self.b > 0 else "-"
-            mag = tail.lstrip("-")
+            if self.a == 0:
+                return mag if self.b > 0 else f"-{mag}"
             return f"{self.a} {sign} {mag}"
         return f"[{self.lo}, {self.hi}]"
 
@@ -108,27 +102,8 @@ class RealRoot:
         return f"RealRoot({self.exact_str()})"
 
 
-def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[tuple[RealRoot, int]]:
-    """Real roots of c2*x^2 + c1*x + c0 with c2 != 0, with multiplicities."""
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [(RealRoot.rational(-c1 / (2 * c2)), 2)]
-    s = _sqrt_exact(disc)
-    if s is not None:
-        r1 = (-c1 - s) / (2 * c2)
-        r2 = (-c1 + s) / (2 * c2)
-        roots = sorted([r1, r2])
-        return [(RealRoot.rational(v), 1) for v in roots]
-    a = -c1 / (2 * c2)
-    b = Fraction(1, 1) / (2 * c2)
-    out = [RealRoot.surd(a, -abs(b), disc), RealRoot.surd(a, abs(b), disc)]
-    return [(root, 1) for root in out]
-
-
 def quadratic_roots(a, b, c) -> list[tuple[RealRoot, int]]:
-    """Real roots of a*x^2 + b*x + c (a may be zero), sorted ascending."""
+    """Real roots of a*x^2 + b*x + c (a may be zero), with multiplicities, sorted ascending."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0:
         if b == 0:
@@ -136,24 +111,24 @@ def quadratic_roots(a, b, c) -> list[tuple[RealRoot, int]]:
                 raise ValueError("zero polynomial has no isolated roots")
             return []
         return [(RealRoot.rational(-c / b), 1)]
-    return _quadratic_roots(c, b, a)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [(RealRoot.rational(-b / (2 * a)), 2)]
+    s = _sqrt_exact(disc)
+    if s is not None:
+        return [(RealRoot.rational(v), 1) for v in sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])]
+    mid, half = -b / (2 * a), abs(Fraction(1, 1) / (2 * a))
+    return [(RealRoot.surd(mid, -half, disc), 1), (RealRoot.surd(mid, half, disc), 1)]
 
 
 def _isolate_high_degree(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
-    poly = sympy.Poly(expr, x)
-    out: list[tuple[RealRoot, int]] = []
-    eps = sympy.Rational(INTERVAL_WIDTH.numerator, INTERVAL_WIDTH.denominator)
+    poly, out = to_sympy(coeffs), []
+    eps = poly.domain(INTERVAL_WIDTH.numerator, INTERVAL_WIDTH.denominator)
     for (lo, hi), mult in poly.intervals(eps=eps, sqf=False):
-        lo_f = Fraction(lo.p, lo.q)
-        hi_f = Fraction(hi.p, hi.q)
-        if lo_f == hi_f:
-            out.append((RealRoot.rational(lo_f), mult))
-        else:
-            out.append((RealRoot.interval(lo_f, hi_f), mult))
+        lo, hi = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
+        out.append((RealRoot.rational(lo) if lo == hi else RealRoot.interval(lo, hi), mult))
     return out
 
 
@@ -176,15 +151,10 @@ def real_roots(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
         shift += 1
     if shift:
         out.append((RealRoot.rational(0), shift))
-    degree = len(coeffs) - 1
-    if degree == 0:
-        pass
-    elif degree == 1:
-        out.append((RealRoot.rational(-coeffs[0] / coeffs[1]), 1))
-    elif degree == 2:
-        out.extend(_quadratic_roots(coeffs[0], coeffs[1], coeffs[2]))
-    else:
+    if len(coeffs) > 3:
         out.extend(_isolate_high_degree(coeffs))
+    else:  # degree <= 2: closed forms
+        out.extend(quadratic_roots(*reversed(coeffs + [Fraction(0)] * (3 - len(coeffs)))))
     out.sort(key=lambda pair: pair[0].approx())
     return out
 
@@ -198,3 +168,29 @@ def poly_coeffs_in_x(p, at_y=Fraction(0)) -> list[Fraction]:
     for (i, j), c in p.terms.items():
         coeffs[i] += c * at_y**j
     return coeffs
+
+
+# -- the sympy bridge: Fractions in, sympy Poly objects over QQ built straight
+# from them, Fractions out; no sympy expression is built or parsed.
+
+
+def to_sympy(rep, swap: bool = False):
+    """rep as a sympy Poly over QQ: a coefficient list (lowest first) in x, or a
+    Poly2 term map {(i, j): c} in (x, y), or in (y, x) when swap is set, so
+    that a resultant eliminates y."""
+    import sympy
+    from sympy.abc import x, y
+
+    qq = sympy.QQ
+    if isinstance(rep, list):
+        return sympy.Poly.from_list([qq(c.numerator, c.denominator) for c in reversed(rep)], x, domain=qq)
+    terms = {(j, i) if swap else (i, j): qq(c.numerator, c.denominator) for (i, j), c in rep.items()}
+    return sympy.Poly.from_dict(terms, *((y, x) if swap else (x, y)), domain=qq)
+
+
+def from_sympy(poly):
+    """A sympy Poly read back as Fractions: its coefficient list (lowest first)
+    when it has one generator, else its term map {(i, j): c}."""
+    if len(poly.gens) == 1:
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}

@@ -228,3 +228,13 @@ def test_verify_and_portrait_run_without_scipy_or_numpy(tmp_path):
     assert json.loads(verify.stdout)["tag"] == "not-global"
     assert portrait.returncode == 0, portrait.stderr
     assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
+    # at radius 1e200 the field overflows; the extra equilibria still decide
+    params = write_params(tmp_path, b1="-1", c1="4", d1="-3")
+    cmd = [sys.executable, "-m", "discflow.cli", "verify", "--params", params, "--radii", "1e200"]
+    run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    assert json.loads(run.stdout)["tag"] == "not-global"

@@ -1,0 +1,244 @@
+"""The exact finite-equilibrium scan: its curve witnesses, its sympy bridge and
+its float prefilter.  sympy's expression layer is the oracle here only."""
+
+import math
+import warnings
+from fractions import Fraction as F
+
+import hypothesis.strategies as st
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+
+from discflow import finite_equilibria as exported
+from discflow.equilibria import (
+    _box_range,
+    _float_rejects,
+    _gcd,
+    _powers,
+    _resultant,
+    finite_equilibria,
+)
+from discflow.family import FamilyParams, build_system, global_cases
+from discflow.flow import finite_equilibria as from_flow
+from discflow.flow import global_center_verdict
+from discflow.poly import Poly2, VectorField, X, Y
+from discflow.roots import INTERVAL_WIDTH, RealRoot, real_roots
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def test_one_scan_behind_every_name():
+    assert exported is finite_equilibria and from_flow is finite_equilibria
+
+
+# -- curves of equilibria ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kw, line",
+    [
+        # p = y(1 - 4x^2), q = x(4x^2 - 1): the lines x = +/-1/2 are equilibria
+        (dict(b1=1, c1=2, d1=1), 0.5),
+        (dict(b1=F(1, 36), c1=F(1, 18), d1=F(1, 36)), 3.0),
+    ],
+)
+def test_vertical_lines_of_equilibria_refute_globality(kw, line):
+    params = FamilyParams.make(**kw)
+    vf = build_system(params)
+    assert not global_cases(params).is_global
+    assert finite_equilibria(vf, math.inf) == [(-line, 0.0), (line, 0.0)]
+    verdict = global_center_verdict(params, sample_radii=(0.5,), angles=2)
+    assert verdict.tag == "not-global"
+    assert verdict.extra_equilibria == ((-line, 0.0), (line, 0.0))
+    assert all(vf.is_equilibrium((F(px), F(py))) for px, py in verdict.extra_equilibria)
+
+
+def test_vertical_line_through_the_origin():
+    # the common factor x: the line x = 0 is witnessed off the origin
+    vf = VectorField(X * Y, X * (X - 1))
+    pts = finite_equilibria(vf)
+    assert any(px == 0.0 and py != 0.0 for px, py in pts)
+    assert (1.0, 0.0) in pts
+    assert all(vf.is_equilibrium((F(px), F(py))) for px, py in pts)
+
+
+def test_curve_through_the_origin_is_witnessed_elsewhere():
+    # the parabola y = x^2 of equilibria passes through the origin
+    g = Y - X * X
+    pts = finite_equilibria(VectorField(g * (X + 2), g * (Y + 3)))
+    assert pts and all(math.hypot(*pt) > 0 for pt in pts)
+    assert any(abs(py - px * px) < 1e-12 for px, py in pts)
+
+
+# -- the sympy bridge against sympy's expression layer -----------------------------
+
+
+def _expr_route_roots(coeffs):
+    """Real roots the way sympy isolates them from an expression."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
+    eps = sympy.Rational(INTERVAL_WIDTH.numerator, INTERVAL_WIDTH.denominator)
+    out = []
+    for (lo, hi), mult in sympy.Poly(expr, x).intervals(eps=eps, sqf=False):
+        lo, hi = F(int(lo.p), int(lo.q)), F(int(hi.p), int(hi.q))
+        out.append((RealRoot.rational(lo) if lo == hi else RealRoot.interval(lo, hi), mult))
+    return out
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@st.composite
+def univariate(draw):
+    """Degree 3 to 9, nonzero at 0, often with a repeated factor."""
+    factor = draw(st.lists(rationals, min_size=2, max_size=3))
+    rest = draw(st.lists(rationals, min_size=1, max_size=5))
+    coeffs = _times(_times(factor, factor) if draw(st.booleans()) else factor, rest)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assume(4 <= len(coeffs) <= 10 and coeffs[0] != 0)
+    return coeffs
+
+
+@settings(max_examples=150)
+@given(univariate())
+def test_real_roots_match_the_expression_route(coeffs):
+    assert real_roots(coeffs) == sorted(_expr_route_roots(coeffs), key=lambda r: r[0].approx())
+
+
+@settings(max_examples=60)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=6),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=6))
+def test_resultants_match_the_expression_route(p_terms, q_terms):
+    p, q = Poly2(p_terms), Poly2(q_terms)
+    assume(not p.is_zero and not q.is_zero)
+    x, y = sympy.symbols("x y")
+
+    def expr(h):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                           for (i, j), c in h.terms.items()])
+
+    for eliminate, keep in ((y, x), (x, y)):
+        want = sympy.Poly(sympy.resultant(expr(p), expr(q), eliminate), keep).all_coeffs()
+        got = _resultant(p, q, str(eliminate))
+        assert got == [F(int(c.p), int(c.q)) for c in reversed(want)]
+
+
+@settings(max_examples=80)
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, min_size=1, max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, min_size=1, max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, min_size=1, max_size=3))
+def test_a_common_factor_is_a_vanishing_resultant(p_terms, q_terms, g_terms):
+    # the scan computes the gcd only when a resultant vanishes
+    g = Poly2(g_terms)
+    p, q = Poly2(p_terms) * g, Poly2(q_terms) * g
+    assume(not p.is_zero and not q.is_zero)
+    vanishing = not any(_resultant(p, q, "x")) or not any(_resultant(p, q, "y"))
+    assert vanishing == (_gcd(p, q).degree >= 1)
+
+
+# -- the float prefilter -------------------------------------------------------------
+
+
+def _float_powers(bounds, degree):
+    return _powers(bounds, degree, outward=True)
+
+
+def _pow_range(lo, hi, k):
+    if k == 0:
+        return F(1), F(1)
+    a, b = lo**k, hi**k
+    if k % 2 == 1:
+        return a, b
+    if lo <= 0 <= hi:
+        return F(0), max(a, b)
+    return min(a, b), max(a, b)
+
+
+def _poly_box_range(p, bx, by):
+    """The exact monomial-wise bounds as the scan first computed them."""
+    total_lo = F(0)
+    total_hi = F(0)
+    for (i, j), c in p.terms.items():
+        xlo, xhi = _pow_range(bx[0], bx[1], i)
+        ylo, yhi = _pow_range(by[0], by[1], j)
+        products = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
+        total_lo += c * (min(products) if c > 0 else max(products))
+        total_hi += c * (max(products) if c > 0 else min(products))
+    return total_lo, total_hi
+
+
+@st.composite
+def intervals(draw):
+    """A rational interval: 1e-12 wide around a real root, at a huge or tiny
+    magnitude, straddling 0, or a single point."""
+    kind = draw(st.sampled_from(["root", "magnitude", "straddle", "point"]))
+    if kind == "root":
+        coeffs = draw(st.lists(rationals, min_size=4, max_size=7))
+        assume(any(coeffs[1:]))
+        roots = real_roots(coeffs)
+        assume(roots)
+        return draw(st.sampled_from(roots))[0].bounds()
+    if kind == "straddle":
+        return (-draw(st.fractions(F(1, 10**6), 5)), draw(st.fractions(F(1, 10**6), 5)))
+    centre = draw(rationals.filter(bool))
+    if kind == "magnitude":
+        centre *= F(10) ** draw(st.sampled_from([-320, -200, -40, 40, 100, 150, 200, 320]))
+    width = abs(centre) * F(1, 10**12) if kind == "magnitude" else F(0)
+    return (centre - width, centre + width)
+
+
+@settings(max_examples=400)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, min_size=1, max_size=8),
+       intervals(), intervals(), st.booleans())
+def test_float_rejection_is_sound(terms, bx, by, through_corner):
+    p = Poly2({k: c for k, c in terms.items() if sum(k) <= 3})
+    if through_corner:  # make p vanish exactly at a corner of the box
+        p = p - Poly2.const(p.evaluate(bx[0], by[0]))
+    assume(not p.is_zero)
+    exact = _box_range(p, _powers(bx, 3), _powers(by, 3))
+    assert exact == _poly_box_range(p, bx, by)
+    if _float_rejects((p,), _float_powers(bx, 3), _float_powers(by, 3)):
+        assert not exact[0] <= 0 <= exact[1]
+
+
+def test_float_prefilter_rejects_a_plain_miss_and_keeps_a_hit():
+    p = X * X - 2  # no zero near x = 1, a zero at sqrt(2)
+    box = real_roots([F(-2), F(0), F(1)])[1][0].bounds()
+    one = (F(1), F(1))
+    assert _float_rejects((p,), _float_powers(one, 2), _float_powers(one, 2))
+    assert not _float_rejects((p,), _float_powers(box, 2), _float_powers(one, 2))
+
+
+def test_float_prefilter_overflow_decides_nothing():
+    huge = (F(10) ** 400, F(10) ** 400 + 1)
+    assert _float_powers(huge, 3) is None
+    assert not _float_rejects((X + 1,), None, _float_powers((F(0), F(0)), 3))
+    assert _float_powers((F(10) ** 200, F(10) ** 200), 3) is None  # x^2 overflows
+    # each power fits, the term 1e300 * x^3 does not: no decision, though it is far from 0
+    p, x = Poly2({(3, 0): F(10) ** 300}), (F(10) ** 5, F(10) ** 5)
+    assert not _float_rejects((p,), _float_powers(x, 3), _float_powers((F(0), F(0)), 3))
+
+
+# -- the scan and the verdict --------------------------------------------------------
+
+
+@settings(max_examples=40)
+@given(st.fixed_dictionaries(
+    {name: st.fractions(min_value=-3, max_value=3, max_denominator=3)
+     for name in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")}))
+def test_an_extra_equilibrium_is_never_consistent(values):
+    params = FamilyParams.make(**values)
+    extra = finite_equilibria(build_system(params), math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verdict = global_center_verdict(params, sample_radii=(0.5,), angles=2)
+    assert verdict.extra_equilibria == tuple(extra)
+    if extra:
+        assert verdict.tag != "global-center-consistent"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
 
+import discflow.flow as flow
 from discflow.family import FamilyParams, build_system, global_cases
 from discflow.flow import (
     IntegratorConfig,
@@ -198,7 +199,7 @@ class TestReturnMap:
         assert v.tag == "inconclusive"
 
     def test_overflowing_start_fails_fast(self):
-        # the cubic field overflows at the start, so the step size is nan
+        # the cubic field overflows at the start, so the initial step size is 0
         vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
         v = return_map_verdict(vf, (1e200, 0.0), CFG)
         assert v.tag == "inconclusive"
@@ -206,6 +207,13 @@ class TestReturnMap:
 
 
 class TestOrbitVerdict:
+    def test_overflowing_off_section_start(self):
+        # the field is inf at the start: no OverflowError, no ZeroDivisionError
+        vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        v = orbit_verdict(vf, (1e200, 1e200), CFG)
+        assert v.tag == "inconclusive"
+        assert v.reason.startswith("integrator failure")
+
     def test_off_section_projection(self):
         v = orbit_verdict(LINEAR, (0.0, 1.0), CFG)
         assert v.tag == "periodic"
@@ -348,6 +356,15 @@ class TestGlobalVerdict:
             warnings.simplefilter("always")
             global_center_verdict(params, sample_radii=(0.5,), angles=2)
         assert any("center" in str(w.message) for w in caught)
+
+    def test_field_compiled_once_per_verdict(self, monkeypatch):
+        compiled = []
+        poly_expr = flow._poly_expr
+        monkeypatch.setattr(flow, "_poly_expr", lambda p: compiled.append(p) or poly_expr(p))
+        flow._compile.cache_clear()
+        v = global_center_verdict(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        assert len(v.samples) == 32
+        assert len(compiled) == 2  # p and q of one compilation
 
     def test_sample_order_deterministic(self):
         pts = sample_points((0.5, 1.0), 4)

@@ -89,6 +89,12 @@ def test_evaluate_exact_and_float():
     assert abs(p.evaluate_float(2.0, 3.0) - 11.0) < 1e-12
 
 
+def test_evaluate_float_overflows_to_inf():
+    # a float power would raise OverflowError; products overflow to inf
+    assert (X**3 - Y**3).evaluate_float(1e200, 0.0) == float("inf")
+    assert (X * Y**2).evaluate_float(-1e200, 1e200) == float("-inf")
+
+
 def test_vector_field_invariants():
     vf = VectorField(Y, -X)
     assert vf.effective_degree == 1

@@ -2,7 +2,10 @@
 
 Reports go to --out (or stdout); errors go to stderr only.  Exit codes for
 `decide`: 0 global center, 1 center but not global, 2 no center, 3 bad
-input.  `verify` mirrors its verdict the same way.
+input.  `verify` mirrors its verdict the same way.  Every command exits 3,
+with one `error:` line and no report, on bad input; for `blowup` that
+includes a chain `desing.run_chain` refuses ("chain failed: ...").  Each
+step in `--steps` takes a fixed number of arguments (see `desing.STEPS`).
 """
 
 from __future__ import annotations
@@ -10,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .compactify import ChartId, chart_field, infinite_equilibria
-from .desing import run_chain
+from .desing import ChainTooDeep, run_chain
 from .family import FamilyParams, build_system, center_cases, global_cases
 from .flow import IntegratorConfig, global_center_verdict
-from .poly import NotDivisible
+from .poly import NotDivisible, rat
 from .portrait import PortraitSpec, render_portrait
 
 EXIT_GLOBAL = 0
@@ -45,33 +47,18 @@ def _load_params(path: str) -> FamilyParams:
 def _emit(payload, out_path: str | None) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _parse_steps(raw: str) -> list[tuple]:
-    steps: list[tuple] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split(":")
-        name = parts[0]
-        try:
-            if name == "blowup":
-                steps.append(("blowup",))
-            elif name == "rescale":
-                steps.append(("rescale", parts[1], int(parts[2])))
-            elif name in ("twist", "shear"):
-                steps.append((name, Fraction(parts[1])))
-            elif name == "translate":
-                steps.append(("translate", Fraction(parts[1]), Fraction(parts[2])))
-            else:
-                raise CliError(f"unknown step {name!r}")
-        except (IndexError, ValueError) as exc:
-            raise CliError(f"malformed step {token!r}: {exc}") from exc
+    """Split 'name:arg:...' tokens; desing.apply_step checks and converts them."""
+    steps = [tuple(token.strip().split(":")) for token in raw.split(",") if token.strip()]
     if not steps:
         raise CliError("empty step list")
     return steps
@@ -100,8 +87,8 @@ def _radii_from_args(args) -> tuple | None:
     if args.radii is None:
         return None
     try:
-        radii = tuple(float(Fraction(tok)) for tok in args.radii.split(",") if tok.strip())
-    except ValueError as exc:
+        radii = tuple(float(rat(tok)) for tok in args.radii.split(",") if tok.strip())
+    except (ValueError, OverflowError) as exc:
         raise CliError(f"bad radii list {args.radii!r}: {exc}") from exc
     if not radii or any(r <= 0 for r in radii):
         raise CliError(f"bad radii list {args.radii!r}")
@@ -155,7 +142,7 @@ def cmd_blowup(args) -> int:
     steps = _parse_steps(args.steps)
     try:
         chain = run_chain(cf.field, steps)
-    except NotDivisible as exc:
+    except (NotDivisible, ValueError, ChainTooDeep) as exc:
         raise CliError(f"chain failed: {exc}") from exc
     payload = chain.to_json(("u", "v"))
     payload["chart"] = chart.value

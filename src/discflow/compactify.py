@@ -70,12 +70,6 @@ def _u1_components(vf: VectorField, n: int) -> tuple[Poly2, Poly2]:
     return qd - X * pd, -(Y * pd)
 
 
-def _u2_components(vf: VectorField, n: int) -> tuple[Poly2, Poly2]:
-    pd = vf.p.swap_vars().dilate_chart_numerator(n)
-    qd = vf.q.swap_vars().dilate_chart_numerator(n)
-    return pd - X * qd, -(Y * qd)
-
-
 def chart_field(vf: VectorField, chart: ChartId, n: int | None = None) -> ChartField:
     """Express vf in a local chart at infinity.
 
@@ -90,7 +84,8 @@ def chart_field(vf: VectorField, chart: ChartId, n: int | None = None) -> ChartF
     if chart in (ChartId.U1, ChartId.V1):
         pu, pv = _u1_components(vf, n_used)
     elif chart in (ChartId.U2, ChartId.V2):
-        pu, pv = _u2_components(vf, n_used)
+        # U2 is U1 of the field with x and y exchanged
+        pu, pv = _u1_components(VectorField(vf.q.swap_vars(), vf.p.swap_vars()), n_used)
     else:
         return ChartField(chart, vf, n_used)
     if chart in (ChartId.V1, ChartId.V2) and (n_used - 1) % 2 == 1:
@@ -115,14 +110,6 @@ def jacobian_at(vf: VectorField, point: tuple[Fraction, Fraction]) -> list[list[
     return vf.jacobian(point)
 
 
-def _has_line_at_infinity(vf: VectorField, n: int) -> bool:
-    u1 = chart_field(vf, ChartId.U1, n).field
-    u2 = chart_field(vf, ChartId.U2, n).field
-    return all(
-        comp.monomial_multiple("y", 1) for comp in (u1.p, u1.q, u2.p, u2.q)
-    )
-
-
 def infinite_equilibria(vf: VectorField, n: int | None = None) -> InfinityReport:
     """Locate the equilibria on the circle at infinity.
 
@@ -132,15 +119,14 @@ def infinite_equilibria(vf: VectorField, n: int | None = None) -> InfinityReport
     line flag is set and no isolated points are reported.
     """
     n_used = vf.effective_degree if n is None else n
-    line = _has_line_at_infinity(vf, n_used)
+    u1, u2 = (chart_field(vf, chart, n_used).field for chart in (ChartId.U1, ChartId.U2))
+    line = all(comp.monomial_multiple("y", 1) for comp in (u1.p, u1.q, u2.p, u2.q))
     equilibria: list[InfinityEquilibrium] = []
     if not line:
-        u1 = chart_field(vf, ChartId.U1, n_used).field
         g1 = poly_coeffs_in_x(u1.p)
         if any(g1):
             for root, mult in real_roots(g1):
                 equilibria.append(InfinityEquilibrium(ChartId.U1, root, mult))
-        u2 = chart_field(vf, ChartId.U2, n_used).field
         g2 = poly_coeffs_in_x(u2.p)
         if any(g2) and g2[0] == 0:
             mult = next(k for k, c in enumerate(g2) if c != 0)

@@ -166,28 +166,29 @@ class BlowupChain:
         }
 
 
+# Chain steps by name: the transform and one converter per argument.  A step
+# spec is (name, *args); the converted args are recorded and passed on.
+STEPS = {
+    "blowup": (vertical_blowup, ()),
+    "rescale": (time_rescale, (str, int)),
+    "twist": (twist, (rat,)),
+    "shear": (shear, (rat,)),
+    "translate": (translate, (rat, rat)),
+}
+
+
 def apply_step(vf: VectorField, spec: tuple) -> BlowupStep:
     """Run one chain step given as ('blowup',), ('rescale', var, k),
-    ('twist', alpha), ('shear', beta) or ('translate', x0, y0)."""
-    kind = spec[0]
-    if kind == "blowup":
-        out = vertical_blowup(vf)
-        args: tuple = ()
-    elif kind == "rescale":
-        out = time_rescale(vf, spec[1], int(spec[2]))
-        args = (spec[1], int(spec[2]))
-    elif kind == "twist":
-        out = twist(vf, spec[1])
-        args = (rat(spec[1]),)
-    elif kind == "shear":
-        out = shear(vf, spec[1])
-        args = (rat(spec[1]),)
-    elif kind == "translate":
-        out = translate(vf, spec[1], spec[2])
-        args = (rat(spec[1]), rat(spec[2]))
-    else:
+    ('twist', alpha), ('shear', beta) or ('translate', x0, y0); arguments may
+    be given as text.  Refusals raise ValueError or NotDivisible."""
+    kind, *raw = spec
+    if kind not in STEPS:
         raise ValueError(f"unknown chain step {kind!r}")
-    return BlowupStep(kind=kind, args=args, input=vf, output=out)
+    transform, converters = STEPS[kind]
+    if len(raw) != len(converters):
+        raise ValueError(f"step {kind!r} takes {len(converters)} argument(s), got {len(raw)}")
+    args = tuple(convert(a) for convert, a in zip(converters, raw))
+    return BlowupStep(kind=kind, args=args, input=vf, output=transform(vf, *args))
 
 
 def run_chain(vf: VectorField, specs: list[tuple]) -> BlowupChain:

@@ -17,11 +17,6 @@ from .poly import Poly2, Scalar, VectorField, rat
 
 PARAM_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
 
-CENTER_CASES = ("i", "ii", "iii", "iv")
-GLOBAL_STATEMENTS = ("a", "b", "c", "d", "e", "f", "g")
-
-NORMAL_FORM_TAGS = ("aa1", "aa2", "aa3", "aa4", "bb5", "bb7")
-
 
 class HypothesesViolated(ValueError):
     """Parameters do not satisfy a normal form's reduction hypotheses."""
@@ -65,10 +60,8 @@ class FamilyParams:
 def _parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"parameter value {value!r} is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (int, str)):
+        return rat(value)
     raise ValueError(f"parameter value {value!r} is not an exact rational")
 
 

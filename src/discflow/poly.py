@@ -1,8 +1,9 @@
 """Exact bivariate polynomial arithmetic over the rationals.
 
-Every coefficient is a `fractions.Fraction`; nothing in this module ever
-rounds.  Polynomials are sparse maps from exponent pairs to coefficients and
-are treated as immutable values, so they can be shared freely across threads.
+Every coefficient is a `fractions.Fraction`; only `evaluate_float`, a float
+view for numerics, ever rounds.  Polynomials are sparse maps from exponent
+pairs to coefficients and are treated as immutable values, so they can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ def rat(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{value!r} has a zero denominator") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -129,11 +133,7 @@ class Poly2:
         other = self._coerce(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, Fraction(0)) + c
         return Poly2(out)
 
     __radd__ = __add__
@@ -153,11 +153,7 @@ class Poly2:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
         return Poly2(out)
 
     __rmul__ = __mul__

@@ -238,3 +238,33 @@ def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
     assert run.returncode == 1, run.stderr
     assert "Traceback" not in run.stderr
     assert json.loads(run.stdout)["tag"] == "not-global"
+
+
+BAD_INPUTS = {
+    "zero-denominator-param": ("decide", "--params", "{zero_param}"),
+    "zero-denominator-radius": ("verify", "--params", "{params}", "--radii", "1/0"),
+    "overflowing-radius": ("verify", "--params", "{params}", "--radii", "1e400"),
+    "unwritable-out": ("decide", "--params", "{params}", "--out", "{missing_dir}/x.json"),
+    "zero-denominator-shear": ("blowup", "--params", "{params}", "--steps", "shear:1/0"),
+    "zero-twist": ("blowup", "--params", "{params}", "--chart", "u2", "--steps", "twist:0"),
+    "zero-rescale-exponent": ("blowup", "--params", "{params}", "--steps", "rescale:u:0"),
+    "bad-rescale-variable": ("blowup", "--params", "{params}", "--steps", "rescale:z:1"),
+    "chain-too-deep": ("blowup", "--params", "{params}", "--steps", ",".join(["twist:1"] * 9)),
+    "extra-step-argument": ("blowup", "--params", "{params}", "--steps", "twist:1:2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_three_without_traceback(tmp_path, case):
+    paths = {
+        "params": write_params(tmp_path, b1="-1", c1="4", d1="-3"),
+        "zero_param": write_params(tmp_path, "zero.json", a1="1/0"),
+        "missing_dir": str(tmp_path / "missing"),
+    }
+    args = [arg.format(**paths) for arg in BAD_INPUTS[case]]
+    cmd = [sys.executable, "-m", "discflow.cli", *args]
+    run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr

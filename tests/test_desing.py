@@ -289,3 +289,6 @@ class TestChainMechanics:
     def test_unknown_step(self):
         with pytest.raises(ValueError):
             apply_step(VectorField(Y, -X), ("fold",))
+        for spec in [("twist", 1, 2), ("twist",), ("blowup", 1), ("translate", 0)]:
+            with pytest.raises(ValueError, match="argument"):
+                apply_step(VectorField(Y, -X), spec)

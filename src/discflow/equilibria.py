@@ -2,30 +2,106 @@
 global-center verdict hinges.  A common factor of (p, q) is divided out and its
 curve sampled; the two elimination resultants give candidate coordinates, and a
 pair of them is confirmed by exact evaluation or exact interval bounds over its
-box, unless a float enclosure of those bounds already excludes 0.  sympy is
-reached through the bridge in `roots`.
+box (an irrational coordinate's box side is its dyadic cell from `roots`),
+unless a float enclosure of those bounds already excludes 0.  The gcd, exact
+quotient and resultants run on integer polynomials with `roots`' kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
 
 from .poly import Poly2, VectorField
-from .roots import from_sympy, poly_coeffs_in_x, real_roots, to_sympy
+from .roots import _divexact, _gcd as _int_gcd, poly_coeffs_in_x, real_roots
 
 _PROBES = tuple(Fraction(v) for v in (0, 1, -1, Fraction(1, 2), -Fraction(1, 2), 2, -2))
 
 
+# -- exact algebra in Q[x][y] on integer polynomials, see roots' dense kernels
+
+
+def _integer(h: Poly2, outer: str = "y") -> tuple[list, int]:
+    """(a, d) with a = d * h, a dense polynomial in the outer variable whose
+    coefficients are integer polynomials in the other one."""
+    d = math.lcm(*(c.denominator for c in h.terms.values()))
+    terms = sorted(((j, i) if outer == "y" else (i, j), c) for (i, j), c in h.terms.items())
+    a: list = [[] for _ in range(terms[-1][0][0] + 1 if terms else 0)]
+    for (o, i), c in terms:
+        a[o] += [0] * (i - len(a[o])) + [c.numerator * (d // c.denominator)]
+    return a, d
+
+
+def _poly2(a: list, scale: Fraction = Fraction(1)) -> Poly2:
+    return Poly2({(i, j): c * scale for j, row in enumerate(a) for i, c in enumerate(row)})
+
+
 def _gcd(p: Poly2, q: Poly2) -> Poly2:
-    return Poly2(from_sympy(to_sympy(p.terms).gcd(to_sympy(q.terms))))
+    return _poly2(_int_gcd(_integer(p)[0], _integer(q)[0]))
+
+
+def _exquo(h: Poly2, g: Poly2) -> Poly2:
+    """h / g for g dividing h: by Gauss's lemma the primitive integer multiple
+    of g divides the integer multiple of h in Z[x, y]."""
+    (a, da), (b, db) = _integer(h), _integer(g)
+    content = math.gcd(*(c for row in b for c in row))
+    return _poly2(_divexact(a, [[c // content for c in row] for row in b]), Fraction(db, da * content))
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix, by Bareiss' fraction-free elimination."""
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot], sign = m[pivot], m[k], sign if pivot == k else -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [0] * (k + 1) + [(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                                    for j in range(k + 1, len(m))]
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
 
 
 def _resultant(p: Poly2, q: Poly2, eliminate: str) -> list[Fraction]:
-    """The resultant eliminating 'x' or 'y', as coefficients in the other, lowest first."""
-    swap = eliminate == "y"
-    return from_sympy(to_sympy(p.terms, swap).resultant(to_sympy(q.terms, swap)))
+    """The resultant eliminating 'x' or 'y', as coefficients in the other, lowest first.
+
+    It is sympy's: the Sylvester determinant of the formal degrees n of p and
+    m of q in the eliminated variable, times (-1)**(n*m) when n < m (sympy
+    swaps p and q then).  It is taken with the other variable at 2**B
+    (Kronecker's substitution), 2**(B-1) above the bound ||p||_1**m *
+    ||q||_1**n on its coefficients, and read back as signed base-2**B digits.
+    """
+    if p.is_zero or q.is_zero:
+        return [Fraction(0)]
+    (a, da), (b, db) = _integer(p, eliminate), _integer(q, eliminate)
+    n, m = len(a) - 1, len(b) - 1
+    norm_a, norm_b = (sum(abs(c) for row in h for c in row) for h in (a, b))
+    B = (norm_a**m * norm_b**n).bit_length() + 1
+    fa, fb = ([sum(c << B * i for i, c in enumerate(row)) for row in reversed(h)] for h in (a, b))
+    value = _det([[0] * i + fa + [0] * (m - 1 - i) for i in range(m)]
+                 + [[0] * i + fb + [0] * (n - 1 - i) for i in range(n)])
+    out, scale = [], Fraction((-1) ** (n * m) if n < m else 1, da**m * db**n)
+    while value:
+        digit = (value + (1 << B - 1)) % (1 << B) - (1 << B - 1)
+        out.append(digit * scale)
+        value = (value - digit) >> B
+    return out or [Fraction(0)]
+
+
+def _gap_probes(g: Poly2):
+    """One rational x in each gap between the real roots of Res_y(g, dg/dy), g
+    made square-free, and one beyond each end.  Above a gap the curve g = 0
+    has no vertical tangent and no singular point, so it meets every vertical
+    line of a gap it has a point above."""
+    g = _exquo(g, _gcd(g, g.partial("y")))
+    res = _resultant(g, g.partial("y"), "y")
+    bounds = [r.bounds() for r, _ in real_roots(res)] if len(res) > 1 else []
+    yield from [lo - 1 for lo, _ in bounds[:1]]
+    yield from [(hi + lo) / 2 for (_, hi), (lo, _) in zip(bounds, bounds[1:])]
+    yield from [hi + 1 for _, hi in bounds[-1:]]
 
 
 def _curve_points(g: Poly2, radius: float) -> list[tuple[float, float]]:
@@ -33,15 +109,13 @@ def _curve_points(g: Poly2, radius: float) -> list[tuple[float, float]]:
 
     A vertical line in the curve, x = c for a real root c of g's content in y,
     gives (c, 0), or (0, 1) when c = 0; the rest of the curve gives the first
-    point found on the probe lines x = 0, ±1, ±1/2, ±2.
+    point found on the probe lines x = 0, ±1, ±1/2, ±2 or, when none of them
+    meets it, on the lines of `_gap_probes`.
     """
-    rows: dict[int, dict] = {}
-    for (i, j), c in g.terms.items():
-        rows.setdefault(j, {})[(i, 0)] = c
-    content = reduce(_gcd, map(Poly2, rows.values()))
-    lines = [r.approx() for r, _ in real_roots(poly_coeffs_in_x(content))]
+    content = reduce(_int_gcd, _integer(g)[0])  # in x, of g's coefficients in y
+    lines = [r.approx() for r, _ in real_roots(content)]
     points = [(c, 0.0) if c else (0.0, 1.0) for c in lines]
-    for x0 in _PROBES:
+    for x0 in itertools.chain(_PROBES, _gap_probes(g)):
         coeffs = poly_coeffs_in_x(g.swap_vars(), x0)  # g(x0, y), in y
         on_line = [(float(x0), r.approx()) for r, _ in real_roots(coeffs)] if any(coeffs[1:]) else []
         on_line = [pt for pt in on_line if 0 < math.hypot(*pt) <= radius]
@@ -122,7 +196,7 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     if not any(rx) or not any(ry):  # a common factor of positive degree in x or in y
         g = _gcd(p, q)
         found = _curve_points(g, radius)
-        p, q = (Poly2(from_sympy(to_sympy(h.terms).exquo(to_sympy(g.terms)))) for h in (p, q))
+        p, q = _exquo(p, g), _exquo(q, g)
         rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
         return sorted(set(found))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .compactify import infinite_equilibria
+from .compactify import InfinityReport, infinite_equilibria
 from .equilibria import finite_equilibria
 from .family import FamilyParams, build_system, center_cases
 from .poly import Poly2, VectorField
@@ -403,6 +403,7 @@ class GlobalVerdict:
     samples: tuple[tuple[tuple[float, float], OrbitVerdict], ...]
     extra_equilibria: tuple[tuple[float, float], ...]
     line_at_infinity: bool
+    infinity: InfinityReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def inconclusive_fraction(self) -> float:
@@ -444,7 +445,7 @@ def global_center_verdict(
     if not center_cases(params).is_center:
         warnings.warn("parameters do not satisfy any center condition", stacklevel=2)
     vf = build_system(params)
-    line = infinite_equilibria(vf).line_of_equilibria
+    infinity = infinite_equilibria(vf)
     extra = tuple(finite_equilibria(vf, math.inf))
     samples = [(pt, orbit_verdict(vf, pt, cfg)) for pt in sample_points(radii, angles)]
     escaping = [pt for pt, v in samples if v.tag == "escaping"]
@@ -454,4 +455,4 @@ def global_center_verdict(
         tag, witness = "global-center-consistent", None
     else:
         tag, witness = "inconclusive", None
-    return GlobalVerdict(tag, witness, tuple(samples), extra, line)
+    return GlobalVerdict(tag, witness, tuple(samples), extra, infinity.line_of_equilibria, infinity)

@@ -1,11 +1,15 @@
 """Real roots of univariate rational polynomials, exact where possible.
 
 Roots of linear and quadratic factors are kept in closed form (a rational, or
-a quadratic surd p + q*sqrt(r)); anything of higher degree is isolated into a
-rational interval of width at most 1e-12.  Both forms share the `RealRoot`
-carrier so downstream code can print an exact string or take a float
-approximation without caring which case it got.  This module is also the one
-bridge to sympy, which the isolation and the equilibrium scan use.
+a quadratic surd p + q*sqrt(r)); anything of higher degree goes through
+integer kernels: Yun's square-free decomposition, then Descartes' rule of
+signs with bisection and exact signs at dyadic points.  A root found there is
+`rational` exactly when it is rational; an irrational one is reported as its
+dyadic cell [k, k + 1] / 2**40 (2**-40 < 1e-12), halved until no other root
+lies in it, so its endpoints depend on the root alone and `approx()`, the
+midpoint, is an exact float for |root| < 2**12.  Both forms share the
+`RealRoot` carrier so downstream code can print an exact string or take a
+float approximation without caring which case it got.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 INTERVAL_WIDTH = Fraction(1, 10**12)
+CELL_BITS = 40  # an irrational root's cell is [k, k + 1] / 2**40, 2**-40 < INTERVAL_WIDTH
 
 
 def _sqrt_exact(value: Fraction) -> Fraction | None:
@@ -123,12 +129,178 @@ def quadratic_roots(a, b, c) -> list[tuple[RealRoot, int]]:
     return [(RealRoot.surd(mid, -half, disc), 1), (RealRoot.surd(mid, half, disc), 1)]
 
 
+# -- dense integer polynomials: coefficient lists, lowest first, whose entries are
+# ints or, one variable down, such lists; [] is zero.  The same kernels serve
+# Z[x] here and Z[x][y] in the equilibrium scan.
+
+
+def _add(a, b):
+    if isinstance(a, int):
+        return a + b
+    out = [_add(u, v) for u, v in zip(a, b)] + a[len(b):] + b[len(a):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _neg(a):
+    return -a if isinstance(a, int) else [_neg(u) for u in a]
+
+
+def _mul(a, b):
+    if isinstance(a, int):
+        return a * b
+    out = [type(a[0])()] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = _add(out[i + j], _mul(u, v))
+    return out
+
+
+def _cancel(a: list, c, b: list) -> list:
+    """a - c * X**k * b, k = len(a) - len(b): a with its leading term cancelled."""
+    return _add(a, [type(c)()] * (len(a) - len(b)) + [_neg(_mul(c, v)) for v in b])
+
+
+def _divexact(a, b):
+    """a / b when b divides a; ArithmeticError otherwise."""
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+    elif len(a) < len(b):
+        q, r = [], a
+    else:  # the quotient's top term, then the rest of it
+        c = _divexact(a[-1], b[-1])
+        return _add(_divexact(_cancel(a, c, b), b), [type(c)()] * (len(a) - len(b)) + [c])
+    if r:
+        raise ArithmeticError("inexact division")
+    return q
+
+
+def _gcd(a, b):
+    """gcd in Z, or in Z[x] or Z[x][y] by primitive pseudo-remainder sequences."""
+    if isinstance(a, int):
+        return math.gcd(a, b)
+    if not (a and b):
+        return a or b
+    content = _gcd(reduce(_gcd, a), reduce(_gcd, b))
+    a, b = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
+    while b:
+        while len(a) >= len(b):  # a pseudo-remainder: lc(b)**k * a mod b
+            a = _cancel([_mul(b[-1], u) for u in a], a[-1], b)
+        a, b = b, _primitive(a)
+    return [_mul(content, u) for u in a]
+
+
+def _primitive(a: list) -> list:
+    content = reduce(_gcd, a, type(a[0])()) if a else 0
+    return [_divexact(u, content) for u in a]
+
+
+def _squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's decomposition of a primitive f: pairwise coprime square-free g with
+    multiplicities k, f = +-prod g**k, constant g left out."""
+    a = _gcd(f, _deriv(f))
+    b, c, out = _divexact(f, a), _divexact(_deriv(f), a), []
+    while len(b) > 1:
+        d = _add(c, _neg(_deriv(b)))
+        out.append(_gcd(b, d))
+        b, c = _divexact(b, out[-1]), _divexact(d, out[-1])
+    return [(g, k) for k, g in enumerate(out, 1) if len(g) > 1]
+
+
+def _deriv(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+# -- real roots of square-free integer polynomials (Collins-Akritas): Descartes'
+# rule of signs with bisection, then bisection on exact signs at dyadic points.
+
+
+def _sign(f: list[int], a: int, d: int) -> int:
+    """Sign of f(a / d), d > 0, from d**n f(a / d) by Horner's scheme."""
+    value, dk = 0, 1
+    for c in reversed(f):
+        value, dk = value * a + c * dk, dk * d
+    return (value > 0) - (value < 0)
+
+
+def _shift1(a: list[int]) -> list[int]:
+    """a(x + 1)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _isolate(f: list[int], bits: int) -> list:
+    """The real roots of square-free f: a Fraction for a rational one, else
+    (a, e), e >= bits, for the one root in (a / 2**e, (a + 1) / 2**e)."""
+    top = f[-1].bit_length()  # Fujiwara's bound: every |root| < 2**b
+    b = max(0, 1 + max(-((top - c.bit_length() - 1) // i) for i, c in enumerate(reversed(f[:-1]), 1)))
+    out = []
+    for s in (1, -1):  # a root t of g in (0, 1) is the root s * (c + t) / 2**e of f
+        todo = [([c * s**i << b * i for i, c in enumerate(f)], 0, -b)]
+        while todo:
+            g, c, e = todo.pop()
+            signs = [a > 0 for a in _shift1(g[::-1]) if a]  # (0, 1) -> (0, inf)
+            changes = sum(u != v for u, v in zip(signs, signs[1:]))
+            if changes == 1:
+                out.append(_refine(f, c if s > 0 else -c - 1, e, bits))
+            elif changes > 1:
+                left = [a << (len(g) - 1 - i) for i, a in enumerate(g)]  # 2**n g(x / 2)
+                right = _shift1(left)  # 2**n g((x + 1) / 2)
+                if not right[0]:
+                    out.append(s * (2 * c + 1) * Fraction(2) ** -(e + 1))
+                todo += [(left, 2 * c, e + 1), (right, 2 * c + 1, e + 1)]
+    return out
+
+
+def _refine(f: list[int], a: int, e: int, bits: int):
+    """Bisect (a / 2**e, (a + 1) / 2**e) around f's one root in it until
+    e >= bits; the root itself when a midpoint is one, or when it is the
+    fraction with denominator <= |lc(f)| nearest the midpoint (the only
+    candidate for a rational root once 2**-e < lc(f)**-2)."""
+    def sign(g, a, e):
+        return _sign(g, a << max(-e, 0), 1 << max(e, 0))
+
+    side = sign(f, a, e) or sign(_deriv(f), a, e)  # f's sign just above a / 2**e
+    while e < bits:
+        a, e = 2 * a, e + 1
+        mid = sign(f, a + 1, e)
+        if not mid:
+            return (a + 1) * Fraction(2) ** -e
+        a += mid == side
+    guess = Fraction(2 * a + 1, 2 ** (e + 1)).limit_denominator(abs(f[-1]))
+    inside = a < guess * 2**e < a + 1 and not _sign(f, guess.numerator, guess.denominator)
+    return guess if inside else (a, e)
+
+
 def _isolate_high_degree(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
-    poly, out = to_sympy(coeffs), []
-    eps = poly.domain(INTERVAL_WIDTH.numerator, INTERVAL_WIDTH.denominator)
-    for (lo, hi), mult in poly.intervals(eps=eps, sqf=False):
-        lo, hi = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
-        out.append((RealRoot.rational(lo) if lo == hi else RealRoot.interval(lo, hi), mult))
+    """Rational roots exactly, the others in their dyadic cells (see the module docstring)."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    exact, cells = [], []  # (value, mult); [g, a, e, mult]
+    for g, mult in _squarefree(_primitive([c.numerator * (d // c.denominator) for c in coeffs])):
+        bits = max(CELL_BITS, 2 * g[-1].bit_length())  # 2**-bits < lc**-2, see _refine
+        for root in [Fraction(-g[0], g[1])] if len(g) == 2 else _isolate(g, bits):
+            if isinstance(root, Fraction):
+                exact.append((root, mult))
+            else:
+                cells.append([g, *root, mult])
+
+    def cell(r, m):  # k for r's cell [k, k + 1] / 2**m
+        if r[2] < m:
+            r[1:3] = _refine(r[0], r[1], r[2], m)
+        return r[1] >> (r[2] - m)
+
+    out = [(RealRoot.rational(x), mult) for x, mult in exact]
+    for r in cells:  # the 2**-CELL_BITS cell, halved while it holds another root
+        m = CELL_BITS
+        while any(cell(t, m) == cell(r, m) for t in cells if t is not r) or any(
+                cell(r, m) <= x * 2**m <= cell(r, m) + 1 for x, _ in exact):
+            m += 1
+        k = cell(r, m)
+        out.append((RealRoot.interval(Fraction(k, 2**m), Fraction(k + 1, 2**m)), r[3]))
     return out
 
 
@@ -136,8 +308,9 @@ def real_roots(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
     """All real roots, with multiplicities, of sum(coeffs[k] * x^k).
 
     Exact rationals and quadratic surds whenever the nonconstant part (after
-    stripping a monomial factor) has degree <= 2; isolating intervals of width
-    <= 1e-12 otherwise.  Roots are sorted by their value.
+    stripping a monomial factor) has degree <= 2; otherwise exact rationals
+    and dyadic cells of width <= 2**-40 (see the module docstring).  Roots are
+    sorted by their value.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -168,29 +341,3 @@ def poly_coeffs_in_x(p, at_y=Fraction(0)) -> list[Fraction]:
     for (i, j), c in p.terms.items():
         coeffs[i] += c * at_y**j
     return coeffs
-
-
-# -- the sympy bridge: Fractions in, sympy Poly objects over QQ built straight
-# from them, Fractions out; no sympy expression is built or parsed.
-
-
-def to_sympy(rep, swap: bool = False):
-    """rep as a sympy Poly over QQ: a coefficient list (lowest first) in x, or a
-    Poly2 term map {(i, j): c} in (x, y), or in (y, x) when swap is set, so
-    that a resultant eliminates y."""
-    import sympy
-    from sympy.abc import x, y
-
-    qq = sympy.QQ
-    if isinstance(rep, list):
-        return sympy.Poly.from_list([qq(c.numerator, c.denominator) for c in reversed(rep)], x, domain=qq)
-    terms = {(j, i) if swap else (i, j): qq(c.numerator, c.denominator) for (i, j), c in rep.items()}
-    return sympy.Poly.from_dict(terms, *((y, x) if swap else (x, y)), domain=qq)
-
-
-def from_sympy(poly):
-    """A sympy Poly read back as Fractions: its coefficient list (lowest first)
-    when it has one generator, else its term map {(i, j): c}."""
-    if len(poly.gens) == 1:
-        return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}

@@ -230,6 +230,41 @@ def test_verify_and_portrait_run_without_scipy_or_numpy(tmp_path):
     assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
+def test_compactify_and_verify_run_without_sympy(tmp_path):
+    # importing sympy fails in the subprocess; the U1 infinity polynomial of
+    # the first member has irrational roots of degree >= 3
+    run = (
+        "import sys; sys.modules['sympy'] = None; "
+        "from discflow.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    interval = write_params(tmp_path, "interval.json", b1="-1", b2="1", c1="-1", d1="-1")
+    control = write_params(tmp_path, b1="-1", c1="4", d1="-3")
+    commands = [
+        ("compactify", "--params", interval, "--chart", "u1"),
+        ("verify", "--params", control, "--radii", "1"),
+    ]
+    env = _env_with_src()
+    compactify, verify = (
+        subprocess.run([sys.executable, "-c", run, *cmd], env=env, capture_output=True, text=True)
+        for cmd in commands
+    )
+    assert compactify.returncode == 0, compactify.stderr
+    assert '"interval"' in compactify.stdout
+    assert verify.returncode == 1, verify.stderr
+
+
+def test_compactify_leaves_sympy_unloaded(tmp_path):
+    params = write_params(tmp_path, b1="-1", b2="1", c1="-1", d1="-1")
+    probe = (
+        "import sys; from discflow.cli import main; "
+        f"main(['compactify', '--params', {params!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
+        "sys.exit('sympy' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert '"interval"' in (tmp_path / "out.json").read_text()
+
+
 def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
     # at radius 1e200 the field overflows; the extra equilibria still decide
     params = write_params(tmp_path, b1="-1", c1="4", d1="-3")
@@ -251,6 +286,10 @@ BAD_INPUTS = {
     "bad-rescale-variable": ("blowup", "--params", "{params}", "--steps", "rescale:z:1"),
     "chain-too-deep": ("blowup", "--params", "{params}", "--steps", ",".join(["twist:1"] * 9)),
     "extra-step-argument": ("blowup", "--params", "{params}", "--steps", "twist:1:2"),
+    "negative-portrait-width": ("portrait", "--params", "{params}", "--width", "-5"),
+    "zero-portrait-width": ("portrait", "--params", "{params}", "--width", "0"),
+    "zero-portrait-height": ("portrait", "--params", "{params}", "--height", "0"),
+    "negative-portrait-height": ("portrait", "--params", "{params}", "--height", "-640"),
 }
 
 
@@ -267,4 +306,5 @@ def test_bad_input_exits_three_without_traceback(tmp_path, case):
     assert run.returncode == 3, run.stderr
     assert run.stdout == ""
     assert run.stderr.startswith("error:")
+    assert len(run.stderr.splitlines()) == 1
     assert "Traceback" not in run.stderr

@@ -1,5 +1,5 @@
-"""The exact finite-equilibrium scan: its curve witnesses, its sympy bridge and
-its float prefilter.  sympy's expression layer is the oracle here only."""
+"""The exact finite-equilibrium scan: its curve witnesses, its integer kernels
+and its float prefilter.  sympy's expression layer is the oracle here only."""
 
 import math
 import warnings
@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from discflow import finite_equilibria as exported
 from discflow.equilibria import (
     _box_range,
+    _exquo,
     _float_rejects,
     _gcd,
     _powers,
@@ -23,7 +24,7 @@ from discflow.family import FamilyParams, build_system, global_cases
 from discflow.flow import finite_equilibria as from_flow
 from discflow.flow import global_center_verdict
 from discflow.poly import Poly2, VectorField, X, Y
-from discflow.roots import INTERVAL_WIDTH, RealRoot, real_roots
+from discflow.roots import RealRoot, real_roots
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -71,18 +72,55 @@ def test_curve_through_the_origin_is_witnessed_elsewhere():
     assert any(abs(py - px * px) < 1e-12 for px, py in pts)
 
 
-# -- the sympy bridge against sympy's expression layer -----------------------------
+def test_a_curve_missing_every_fixed_probe_is_found():
+    # the circle of radius 1/2 around (3, 3) meets none of x = 0, ±1/2, ±1, ±2
+    g = (X - 3) * (X - 3) + (Y - 3) * (Y - 3) - F(1, 4)
+    pts = finite_equilibria(VectorField(g * Y, -g * X))
+    assert pts and all(abs(g.evaluate(F(px), F(py))) < 1e-9 for px, py in pts)
+    # the same circle squared: the probes run on its square-free part
+    assert finite_equilibria(VectorField(g * g * Y, -g * X)) == pts
+
+
+def test_resultant_sign_when_the_degrees_differ():
+    # degrees 1 and 3 in y: sympy's sign is (-1)**3 times the Sylvester determinant's
+    p, q = 2 * X * Y - 1, Y * Y * Y - X
+    want = [F(-1), F(0), F(0), F(0), F(8)]  # 8x^4 - 1 in either order
+    assert _resultant(p, q, "y") == want and _resultant(q, p, "y") == want
+    assert _resultant(Y - 1, Y * Y * Y - 2, "y") == [F(1)] == _resultant(Y * Y * Y - 2, Y - 1, "y")
+
+
+def test_gcd_and_exact_division():
+    g = (X - Y * Y) * (2 * X + 1)
+    p, q = g * (Y + 2), g * (X * Y - F(3, 5))
+    common = _gcd(p, q)
+    assert common.degree == 3 and _exquo(g, common).degree == 0
+    assert _exquo(p, common) * common == p and _exquo(q, common) * common == q
+    with pytest.raises(ArithmeticError):
+        _exquo(p, X + 7)
+
+
+# -- the exact kernels against sympy's expression layer ------------------------------
 
 
 def _expr_route_roots(coeffs):
-    """Real roots the way sympy isolates them from an expression."""
+    """Real roots the way sympy finds them from an expression: a linear factor
+    gives a rational root, and Poly.refine_root narrows every root of another
+    irreducible factor until one cell [k, k + 1] / 2**40 holds it."""
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
-    eps = sympy.Rational(INTERVAL_WIDTH.numerator, INTERVAL_WIDTH.denominator)
     out = []
-    for (lo, hi), mult in sympy.Poly(expr, x).intervals(eps=eps, sqf=False):
-        lo, hi = F(int(lo.p), int(lo.q)), F(int(hi.p), int(hi.q))
-        out.append((RealRoot.rational(lo) if lo == hi else RealRoot.interval(lo, hi), mult))
+    for factor, mult in sympy.factor_list(expr)[1]:
+        factor = sympy.Poly(factor, x)
+        if factor.degree() == 1:
+            b, a = factor.all_coeffs()
+            root = -a / b
+            out.append((RealRoot.rational(F(int(root.p), int(root.q))), mult))
+            continue
+        for (lo, hi), _ in factor.intervals():
+            while sympy.floor(lo * 2**40) != sympy.ceiling(hi * 2**40) - 1:
+                lo, hi = factor.refine_root(lo, hi, eps=(hi - lo) / 2)
+            k = int(sympy.floor(lo * 2**40))
+            out.append((RealRoot.interval(F(k, 2**40), F(k + 1, 2**40)), mult))
     return out
 
 

@@ -54,6 +54,15 @@ class TestRenderPortrait:
         assert one.count('fill="#c53030"') == len(verdict.extra_equilibria)
         assert 'fill="#000000"' in one
 
+    def test_verdict_carries_the_infinity_report_it_used(self):
+        params = FamilyParams.make(b2=1, d2=1)
+        verdict = global_center_verdict(params, sample_radii=(1.0,), angles=2)
+        assert verdict.infinity == infinite_equilibria(build_system(params))
+        assert verdict.line_at_infinity == verdict.infinity.line_of_equilibria
+        assert "infinity" not in verdict.to_json()
+        assert dataclasses.replace(verdict, infinity=None) == verdict
+        assert "infinity=" not in repr(verdict).replace("line_at_infinity=", "")
+
     def test_line_at_infinity_highlighted(self):
         params = FamilyParams.make(b2=1, d2=1)
         cfg = IntegratorConfig()

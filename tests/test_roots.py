@@ -84,3 +84,51 @@ def test_exact_strings():
     surd = RealRoot.surd(F(1, 2), F(-1, 4), F(5))
     assert "sqrt(5)" in surd.exact_str()
     assert surd.to_json()["approx"] == pytest.approx(0.5 - 0.25 * 5**0.5)
+
+
+def _cell(lo, hi):
+    """The exponent m of a cell [k, k + 1] / 2**m."""
+    width = hi - lo
+    assert width.numerator == 1 and width.denominator & (width.denominator - 1) == 0
+    assert (lo / width).denominator == 1
+    return width.denominator.bit_length() - 1
+
+
+def test_irrational_root_is_reported_in_its_dyadic_cell():
+    # x^3 - 2: the cell [k, k + 1] / 2**40 that holds 2**(1/3), whatever found it
+    ((root, mult),) = real_roots([F(-2), F(0), F(0), F(1)])
+    assert root.kind == "interval" and mult == 1
+    assert _cell(root.lo, root.hi) == 40
+    assert root.lo**3 < 2 < root.hi**3
+    assert root.approx() == float((root.lo + root.hi) / 2)
+
+
+def test_rational_roots_of_high_degree_are_exact():
+    # (1048583 x - 1)(x - 3)(x^2 - 2): the denominator needs more than 40 bits
+    coeffs = [F(1)]
+    for factor in ([F(-1), F(1048583)], [F(-3), F(1)], [F(-2), F(0), F(1)]):
+        coeffs = [sum(coeffs[i] * factor[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(factor))
+                  for k in range(len(coeffs) + len(factor) - 1)]
+    roots = real_roots(coeffs)
+    assert [r.kind for r, _ in roots] == ["interval", "rational", "interval", "rational"]
+    assert roots[1][0].a == F(1, 1048583) and roots[3][0].a == 3
+
+
+def test_roots_sharing_a_cell_get_finer_cells():
+    # x^2 - 2 and x^2 - (2 + 2**-45): two irrational roots 2**-46.5 apart
+    eps = F(1, 2**45)
+    coeffs = [F(2) * (2 + eps), F(0), -(4 + eps), F(0), F(1)]
+    positive = [r for r, _ in real_roots(coeffs) if r.approx() > 0]
+    assert len(positive) == 2 and positive[0].hi <= positive[1].lo
+    for root, square in zip(positive, (2, 2 + eps)):
+        assert _cell(root.lo, root.hi) > 40
+        assert root.lo**2 < square < root.hi**2
+    # a rational root 2**-60 from sqrt(2), inside its 2**-40 cell, pushes that cell finer
+    lo, hi = real_roots([F(-2), F(0), F(1)])[1][0].bounds()  # sqrt(2) to 2e-18
+    r = (3 * lo + hi) / 4
+    roots = real_roots([2 * r, F(-2), -r, F(1)])  # (x - r)(x^2 - 2)
+    (rational,) = [root for root, _ in roots if root.kind == "rational"]
+    (root,) = [root for root, _ in roots if root.kind == "interval" and root.lo > 0]
+    assert rational.a == r
+    assert _cell(root.lo, root.hi) > 40 and not root.lo <= r <= root.hi
+    assert root.lo**2 < 2 < root.hi**2

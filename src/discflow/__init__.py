@@ -5,125 +5,41 @@ oracles) are exact over the rationals; the numerical layer verifies orbit
 periodicity and renders portraits.
 """
 
-from .poly import DegreeTooLow, NotDivisible, Poly2, Rational, VectorField, rat
-from .compactify import (
-    ChartField,
-    ChartId,
-    InfinityReport,
-    chart_field,
-    infinite_equilibria,
-    jacobian_at,
-    rescale_infinity_line,
-)
-from .desing import (
-    BlowupChain,
-    BlowupStep,
-    ChainTooDeep,
-    CharacteristicPoly,
-    NotEquilibrium,
-    ZeroAlpha,
-    characteristic_directions,
-    choose_shear_beta,
-    run_chain,
-    shear,
-    time_rescale,
-    translate,
-    twist,
-    vertical_blowup,
-)
-from .classify import (
-    EquilibriumClass,
-    NotSemiHyperbolic,
-    PointType,
-    Spectrum,
-    classify_from_jacobian,
-    classify_point,
-    refine_semihyperbolic,
-    spectrum_of,
-)
-from .family import (
-    CenterReport,
-    FamilyParams,
-    GlobalReport,
-    HypothesesViolated,
-    build_system,
-    center_cases,
-    from_complex,
-    global_cases,
-    normal_form,
-)
-from .flow import (
-    GlobalVerdict,
-    IntegratorConfig,
-    NotConserved,
-    OrbitVerdict,
-    StepUnderflow,
-    conserved_quantity,
-    finite_equilibria,
-    first_integral_check,
-    global_center_verdict,
-    integrate,
-    orbit_verdict,
-    return_map_verdict,
-)
+import importlib
+
+# Each exported name is imported from its module on first access (PEP 562), so a
+# process loads only the layers it uses: `discflow decide` never loads the orbit
+# engine, the equilibrium scan or the portrait.
+_EXPORTS = {
+    "poly": ("DegreeTooLow", "NotDivisible", "Poly2", "Rational", "VectorField", "rat"),
+    "compactify": ("ChartField", "ChartId", "InfinityReport", "chart_field", "infinite_equilibria",
+                   "jacobian_at", "rescale_infinity_line"),
+    "desing": ("BlowupChain", "BlowupStep", "ChainTooDeep", "CharacteristicPoly", "NotEquilibrium",
+               "ZeroAlpha", "characteristic_directions", "choose_shear_beta", "run_chain", "shear",
+               "time_rescale", "translate", "twist", "vertical_blowup"),
+    "classify": ("EquilibriumClass", "NotSemiHyperbolic", "PointType", "Spectrum",
+                 "classify_from_jacobian", "classify_point", "refine_semihyperbolic", "spectrum_of"),
+    "family": ("CenterReport", "FamilyParams", "GlobalReport", "HypothesesViolated", "build_system",
+               "center_cases", "from_complex", "global_cases", "normal_form"),
+    "equilibria": ("finite_equilibria",),
+    "flow": ("GlobalVerdict", "IntegratorConfig", "NotConserved", "OrbitVerdict", "StepUnderflow",
+             "conserved_quantity", "first_integral_check", "global_center_verdict", "integrate",
+             "orbit_verdict", "return_map_verdict"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowupChain",
-    "BlowupStep",
-    "CenterReport",
-    "ChainTooDeep",
-    "CharacteristicPoly",
-    "ChartField",
-    "ChartId",
-    "DegreeTooLow",
-    "EquilibriumClass",
-    "FamilyParams",
-    "GlobalReport",
-    "GlobalVerdict",
-    "HypothesesViolated",
-    "InfinityReport",
-    "IntegratorConfig",
-    "NotConserved",
-    "NotDivisible",
-    "NotEquilibrium",
-    "NotSemiHyperbolic",
-    "OrbitVerdict",
-    "PointType",
-    "Poly2",
-    "Rational",
-    "Spectrum",
-    "StepUnderflow",
-    "VectorField",
-    "ZeroAlpha",
-    "build_system",
-    "center_cases",
-    "chart_field",
-    "characteristic_directions",
-    "choose_shear_beta",
-    "classify_from_jacobian",
-    "classify_point",
-    "conserved_quantity",
-    "finite_equilibria",
-    "first_integral_check",
-    "from_complex",
-    "global_cases",
-    "global_center_verdict",
-    "infinite_equilibria",
-    "integrate",
-    "jacobian_at",
-    "normal_form",
-    "orbit_verdict",
-    "rat",
-    "refine_semihyperbolic",
-    "rescale_infinity_line",
-    "return_map_verdict",
-    "run_chain",
-    "shear",
-    "spectrum_of",
-    "time_rescale",
-    "translate",
-    "twist",
-    "vertical_blowup",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

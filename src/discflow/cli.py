@@ -14,12 +14,11 @@ import argparse
 import json
 import sys
 
-from .compactify import ChartId, chart_field, infinite_equilibria
-from .desing import ChainTooDeep, run_chain
 from .family import FamilyParams, build_system, center_cases, global_cases
-from .flow import IntegratorConfig, global_center_verdict
 from .poly import NotDivisible, rat
-from .portrait import PortraitSpec, render_portrait
+
+# Each command imports the layers it runs, so `decide` loads neither the charts
+# nor the orbit engine.
 
 EXIT_GLOBAL = 0
 EXIT_NOT_GLOBAL = 1
@@ -64,14 +63,18 @@ def _parse_steps(raw: str) -> list[tuple]:
     return steps
 
 
-def _chart_from_flag(raw: str) -> ChartId:
+def _chart_from_flag(raw: str):
+    from .compactify import ChartId
+
     try:
         return ChartId(raw.upper())
     except ValueError as exc:
         raise CliError(f"unknown chart {raw!r}") from exc
 
 
-def _config_from_args(args) -> IntegratorConfig:
+def _config_from_args(args):
+    from .flow import IntegratorConfig
+
     kwargs = {}
     if args.tol is not None:
         kwargs["section_closure_tol"] = args.tol
@@ -118,6 +121,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_compactify(args) -> int:
+    from .compactify import chart_field, infinite_equilibria
+
     params = _load_params(args.params)
     vf = build_system(params)
     chart = _chart_from_flag(args.chart)
@@ -135,6 +140,9 @@ def cmd_compactify(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from .compactify import chart_field
+    from .desing import ChainTooDeep, run_chain
+
     params = _load_params(args.params)
     vf = build_system(params)
     chart = _chart_from_flag(args.chart)
@@ -152,6 +160,8 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .flow import global_center_verdict
+
     params = _load_params(args.params)
     cfg = _config_from_args(args)
     radii = _radii_from_args(args)
@@ -165,6 +175,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    from .flow import global_center_verdict
+    from .portrait import PortraitSpec, render_portrait
+
     params = _load_params(args.params)
     cfg = _config_from_args(args)
     radii = _radii_from_args(args)

@@ -1,10 +1,10 @@
 """The exact scan for finite equilibria other than the origin, on which the
 global-center verdict hinges.  A common factor of (p, q) is divided out and its
 curve sampled; the two elimination resultants give candidate coordinates, and a
-pair of them is confirmed by exact evaluation or exact interval bounds over its
-box (an irrational coordinate's box side is its dyadic cell from `roots`),
-unless a float enclosure of those bounds already excludes 0.  The gcd, exact
-quotient and resultants run on integer polynomials with `roots`' kernels.
+pair of them is confirmed by interval bounds of p and q over its box (a point
+for rational coordinates; an irrational coordinate's box side is its dyadic
+cell or surd enclosure from `roots`), computed exactly in integers.  The gcd,
+exact quotient and resultants run on integer polynomials with `roots`' kernels.
 """
 
 from __future__ import annotations
@@ -125,68 +125,52 @@ def _curve_points(g: Poly2, radius: float) -> list[tuple[float, float]]:
     return [pt for pt in points if math.hypot(*pt) <= radius]
 
 
-# Monomial-wise bounds of a polynomial over a box, in interval arithmetic: exact
-# on Fractions, or with outward=True enclosing the exact bounds in floats, where
-# every input is correctly rounded and every operation rounded outward by one
-# ulp.  A float overflow raises OverflowError and decides nothing.
+# Monomial-wise bounds of a polynomial over a box, in integers: p is scaled by
+# the lcm of its coefficients' denominators (`_integer`) and x**k's bounds over
+# den**k by den**(degree - k), so every bound is a positive integer multiple of
+# the exact rational one and has the same sign.
 
 
-def _round_out(lo: float, hi: float) -> tuple[float, float]:
-    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    if math.isinf(lo) or math.isinf(hi):
-        raise OverflowError("float enclosure overflows")
-    return lo, hi
+def _power_bounds(bounds: tuple[Fraction, Fraction], degree: int) -> list[tuple[int, int]]:
+    """Integer (lo_k, hi_k), k = 0..degree: x**k * den**degree lies in [lo_k, hi_k]
+    for x in bounds = (lo, hi), den their common denominator."""
+    lo, hi = bounds
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    out = [(den**degree, den**degree)]
+    for k in range(1, degree + 1):
+        u, v, scale = a**k, b**k, den ** (degree - k)
+        if k % 2:
+            out.append((u * scale, v * scale))
+        else:
+            out.append((0 if a <= 0 <= b else min(u, v) * scale, max(u, v) * scale))
+    return out
 
 
-def _mul(a: tuple, b: tuple, outward: bool) -> tuple:
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])  # finite, so never nan
-    return _round_out(min(ps), max(ps)) if outward else (min(ps), max(ps))
-
-
-def _powers(bounds, degree: int, outward: bool = False) -> list[tuple] | None:
-    """Bounds of x**k over x in bounds = (lo, hi), for k = 0..degree; None on overflow."""
-    try:
-        lo, hi = (_round_out(float(v), float(v)) if outward else (v, v) for v in bounds)
-        a = b = (1, 1)
-        out = [a]
-        for k in range(1, degree + 1):
-            a, b = _mul(a, lo, outward), _mul(b, hi, outward)
-            both = (min(a[0], b[0]), max(a[1], b[1]))
-            out.append((a[0], b[1]) if k % 2 else (0, both[1]) if lo[0] <= 0 <= hi[1] else both)
-        return out
-    except OverflowError:  # only floats overflow
-        return None
-
-
-def _box_range(p: Poly2, xp: list, yp: list, outward: bool = False) -> tuple:
-    """Bounds of p over the box whose coordinates' powers _powers bounds by xp and yp."""
+def _box_holds_zero(a: list, xp: list, yp: list) -> bool:
+    """Whether the monomial-wise bounds of the integer polynomial a (from
+    `_integer`) over the box whose powers `_power_bounds` gives as xp and yp
+    hold 0."""
     lo = hi = 0
-    for (i, j), c in p.terms.items():
-        c = _round_out(float(c), float(c)) if outward else (c, c)
-        m = _mul(_mul(xp[i], yp[j], outward), c, outward)
-        lo, hi = _round_out(lo + m[0], hi + m[1]) if outward else (lo + m[0], hi + m[1])
-    return lo, hi
-
-
-def _float_rejects(polys, xp, yp) -> bool:
-    """True when floats show that one of polys has no zero in the box of xp and yp."""
-    if xp is None or yp is None:
-        return False
-    try:
-        return any(lo > 0 or hi < 0 for lo, hi in (_box_range(h, xp, yp, True) for h in polys))
-    except OverflowError:
-        return False
+    for j, row in enumerate(a):
+        yl, yh = yp[j]
+        for i, c in enumerate(row):
+            xl, xh = xp[i]
+            ps = (c * xl * yl, c * xl * yh, c * xh * yl, c * xh * yh)
+            lo, hi = lo + min(ps), hi + max(ps)
+    return lo <= 0 <= hi
 
 
 def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float, float]]:
     """All real non-origin equilibria with |(x, y)| <= radius, found exactly.
 
     Candidate coordinates come from the two elimination resultants of
-    (p, q); each candidate pair is confirmed either by exact rational
-    evaluation or by bounding p and q over the (<= 1e-12 wide) enclosing
-    box with exact interval arithmetic.  A common factor of the two
-    components (a curve of equilibria) is divided out and witnessed by
-    sample points on the curve.  radius may be math.inf.
+    (p, q); each candidate pair is confirmed by bounding p and q over the
+    (<= 1e-12 wide) box of its coordinates' `bounds()` in exact integer
+    interval arithmetic, which for a rational pair is exact evaluation at
+    the point.  A common factor of the two components (a curve of
+    equilibria) is divided out and witnessed by sample points on the curve.
+    radius may be math.inf.
     """
     p, q = vf.p, vf.q
     if p.is_zero or q.is_zero:
@@ -203,22 +187,12 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     xs = [r for r, _ in real_roots(rx) if abs(r.approx()) <= radius]
     ys = [r for r, _ in real_roots(ry) if abs(r.approx()) <= radius]
     degree = max(p.degree, q.degree)
-    y_floats = [_powers(r.bounds(), degree, outward=True) for r in ys]
+    polys = (_integer(p)[0], _integer(q)[0])
+    y_powers = [_power_bounds(r.bounds(), degree) for r in ys]
     for rx_root in xs:
-        bx = rx_root.bounds()
-        x_floats = _powers(bx, degree, outward=True)
-        for ry_root, y_float in zip(ys, y_floats):
-            if rx_root.kind == "rational" and ry_root.kind == "rational":
-                if rx_root.a == 0 and ry_root.a == 0:
-                    continue
-                if p.evaluate(rx_root.a, ry_root.a) == 0 and q.evaluate(rx_root.a, ry_root.a) == 0:
-                    found.append((float(rx_root.a), float(ry_root.a)))
-                continue
-            if _float_rejects((p, q), x_floats, y_float):
-                continue
-            xp, yp = _powers(bx, degree), _powers(ry_root.bounds(), degree)
-            (p_lo, p_hi), (q_lo, q_hi) = _box_range(p, xp, yp), _box_range(q, xp, yp)
-            if p_lo <= 0 <= p_hi and q_lo <= 0 <= q_hi:
+        xp = _power_bounds(rx_root.bounds(), degree)
+        for ry_root, yp in zip(ys, y_powers):
+            if all(_box_holds_zero(a, xp, yp) for a in polys):
                 found.append((rx_root.approx(), ry_root.approx()))
     deduped: list[tuple[float, float]] = []
     for pt in sorted(pt for pt in found if 0 < math.hypot(*pt) <= radius):

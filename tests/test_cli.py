@@ -265,6 +265,28 @@ def test_compactify_leaves_sympy_unloaded(tmp_path):
     assert '"interval"' in (tmp_path / "out.json").read_text()
 
 
+def test_decide_loads_no_numeric_layer(tmp_path):
+    params = write_params(tmp_path, b1="1", c1="-4", d1="3")
+    probe = (
+        "import sys; from discflow.cli import main; "
+        f"code = main(['decide', '--params', {params!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
+        "sys.exit(code or ' '.join(m for m in ('flow', 'equilibria', 'portrait') if 'discflow.' + m in sys.modules) or None)"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "global-center"
+
+
+def test_every_exported_name_resolves():
+    probe = "import discflow; [getattr(discflow, name) for name in discflow.__all__]; from discflow import *"
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert all(getattr(discflow, name) is not None for name in discflow.__all__)
+    assert set(discflow.__all__) <= set(dir(discflow))
+    with pytest.raises(AttributeError):
+        discflow.no_such_name
+
+
 def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
     # at radius 1e200 the field overflows; the extra equilibria still decide
     params = write_params(tmp_path, b1="-1", c1="4", d1="-3")

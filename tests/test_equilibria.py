@@ -1,5 +1,6 @@
 """The exact finite-equilibrium scan: its curve witnesses, its integer kernels
-and its float prefilter.  sympy's expression layer is the oracle here only."""
+and its integer box check, which must decide every candidate pair exactly as
+rational interval bounds do.  sympy's expression layer is the oracle here only."""
 
 import math
 import warnings
@@ -12,11 +13,11 @@ from hypothesis import assume, given, settings
 
 from discflow import finite_equilibria as exported
 from discflow.equilibria import (
-    _box_range,
+    _box_holds_zero,
     _exquo,
-    _float_rejects,
     _gcd,
-    _powers,
+    _integer,
+    _power_bounds,
     _resultant,
     finite_equilibria,
 )
@@ -181,11 +182,11 @@ def test_a_common_factor_is_a_vanishing_resultant(p_terms, q_terms, g_terms):
     assert vanishing == (_gcd(p, q).degree >= 1)
 
 
-# -- the float prefilter -------------------------------------------------------------
+# -- the integer box check -----------------------------------------------------------
 
 
-def _float_powers(bounds, degree):
-    return _powers(bounds, degree, outward=True)
+def _holds_zero(p, bx, by, degree=3):
+    return _box_holds_zero(_integer(p)[0], _power_bounds(bx, degree), _power_bounds(by, degree))
 
 
 def _pow_range(lo, hi, k):
@@ -200,7 +201,7 @@ def _pow_range(lo, hi, k):
 
 
 def _poly_box_range(p, bx, by):
-    """The exact monomial-wise bounds as the scan first computed them."""
+    """The exact monomial-wise bounds over Fractions, as the scan once computed them."""
     total_lo = F(0)
     total_hi = F(0)
     for (i, j), c in p.terms.items():
@@ -235,33 +236,70 @@ def intervals(draw):
 @settings(max_examples=400)
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, min_size=1, max_size=8),
        intervals(), intervals(), st.booleans())
-def test_float_rejection_is_sound(terms, bx, by, through_corner):
+def test_integer_box_check_matches_the_exact_bounds(terms, bx, by, through_corner):
     p = Poly2({k: c for k, c in terms.items() if sum(k) <= 3})
     if through_corner:  # make p vanish exactly at a corner of the box
         p = p - Poly2.const(p.evaluate(bx[0], by[0]))
     assume(not p.is_zero)
-    exact = _box_range(p, _powers(bx, 3), _powers(by, 3))
-    assert exact == _poly_box_range(p, bx, by)
-    if _float_rejects((p,), _float_powers(bx, 3), _float_powers(by, 3)):
-        assert not exact[0] <= 0 <= exact[1]
+    lo, hi = _poly_box_range(p, bx, by)
+    assert _holds_zero(p, bx, by) == (lo <= 0 <= hi)
 
 
-def test_float_prefilter_rejects_a_plain_miss_and_keeps_a_hit():
+def test_box_check_rejects_a_plain_miss_and_keeps_a_hit():
     p = X * X - 2  # no zero near x = 1, a zero at sqrt(2)
     box = real_roots([F(-2), F(0), F(1)])[1][0].bounds()
     one = (F(1), F(1))
-    assert _float_rejects((p,), _float_powers(one, 2), _float_powers(one, 2))
-    assert not _float_rejects((p,), _float_powers(box, 2), _float_powers(one, 2))
+    assert not _holds_zero(p, one, one, 2)
+    assert _holds_zero(p, box, one, 2)
 
 
-def test_float_prefilter_overflow_decides_nothing():
+def test_huge_magnitudes_decide_exactly():
+    # 1e300 * x^3 at x = 1e5 is 1e315, far from 0, and is rejected
+    origin = (F(0), F(0))
+    assert not _holds_zero(Poly2({(3, 0): F(10) ** 300}), (F(10) ** 5, F(10) ** 5), origin)
+    # a 1e400 box: x + 1 has no zero there, x - (1e400 + 1/2) has one
     huge = (F(10) ** 400, F(10) ** 400 + 1)
-    assert _float_powers(huge, 3) is None
-    assert not _float_rejects((X + 1,), None, _float_powers((F(0), F(0)), 3))
-    assert _float_powers((F(10) ** 200, F(10) ** 200), 3) is None  # x^2 overflows
-    # each power fits, the term 1e300 * x^3 does not: no decision, though it is far from 0
-    p, x = Poly2({(3, 0): F(10) ** 300}), (F(10) ** 5, F(10) ** 5)
-    assert not _float_rejects((p,), _float_powers(x, 3), _float_powers((F(0), F(0)), 3))
+    assert not _holds_zero(X + 1, huge, origin)
+    assert _holds_zero(X - (F(10) ** 400 + F(1, 2)), huge, origin)
+    assert not _holds_zero(X * X * X - F(10) ** 1200 * 2, huge, origin)
+    assert _holds_zero(X * X * X - (F(10) ** 400 + F(1, 3)) ** 3, huge, origin)
+
+
+# -- candidate pairs that mix the kinds of root --------------------------------------
+
+
+def _roots(p, q, eliminate):
+    return [r for r, _ in real_roots(_resultant(p, q, eliminate))]
+
+
+def _next_cell(root):
+    lo, hi = root.bounds()
+    return (hi, 2 * hi - lo)
+
+
+def test_an_interval_x_paired_with_a_rational_y():
+    # equilibria (1, 3) and (2**(1/3), 1); the pairs (2**(1/3), 3) and (1, 1) are not
+    p, q = (X * X * X - 2) * (X - 1), Y - 5 + 2 * X * X * X
+    xs, ys = _roots(p, q, "y"), _roots(p, q, "x")
+    assert [r.kind for r in xs] == ["rational", "interval"] and [r.kind for r in ys] == ["rational"] * 2
+    assert finite_equilibria(VectorField(p, q), math.inf) == [(1.0, 3.0), (xs[1].approx(), 1.0)]
+    # the cell beside the cube root's, at y = 1, holds no zero of q
+    assert _holds_zero(q, xs[1].bounds(), ys[0].bounds())
+    assert not _holds_zero(q, _next_cell(xs[1]), ys[0].bounds())
+
+
+def test_a_surd_x_paired_with_a_cell_y():
+    # equilibria (0, 1) and (±sqrt(2), 1 ± sqrt(2)): x from a quadratic, y from a cubic
+    p, q = X * (X * X - 2), Y - X - 1
+    xs, ys = _roots(p, q, "y"), _roots(p, q, "x")
+    assert [r.kind for r in xs] == ["surd", "rational", "surd"]
+    assert [r.kind for r in ys] == ["interval", "rational", "interval"]
+    got = finite_equilibria(VectorField(p, q), math.inf)
+    assert got == [(xs[0].approx(), ys[0].approx()), (0.0, 1.0), (xs[2].approx(), ys[2].approx())]
+    # (sqrt(2), 1 - sqrt(2)) is a candidate and no equilibrium; neither is the cell beside 1 + sqrt(2)
+    assert not _holds_zero(q, xs[2].bounds(), ys[0].bounds())
+    assert _holds_zero(q, xs[2].bounds(), ys[2].bounds())
+    assert not _holds_zero(q, xs[2].bounds(), _next_cell(ys[2]))
 
 
 # -- the scan and the verdict --------------------------------------------------------

@@ -1,10 +1,16 @@
 """The eight-parameter cubic family and its center / global-center oracles.
 
-In complex notation the family is i*dw/dt = w - A3*conj(w)^2 - A4*w^3
-- A5*w^2*conj(w) - A6*w*conj(w)^2 with A3..A6 = a1+i*a2, ..., d1+i*d2.  All
-decisions below are exact over the rationals: the oracles return every
-matching condition set, since the sets genuinely overlap (the zero vector
-satisfies all of them).
+The family is the real system of `build_system`, as the README writes it out,
+with the complex coefficients A3..A6 = a1+i*a2, ..., d1+i*d2.  It is not quite
+i*dw/dt = w - A3*conj(w)^2 - A4*w^3 - A5*w^2*conj(w) - A6*w*conj(w)^2 with
+w = x + i*y: its x' is that equation's expansion minus (b1 - c1 + d1)*y^3
+(b1 = 1 alone gives a conj(w)^3 term, which no member of the equation has, and
+statement (b) of `global_cases` holds for the real system only).  So every
+per-regime object here, normal form or first integral, is derived from
+`build_system`; only the center invariants (F, G, Im(A4*A6)) are products of
+A3..A6 as Gaussian rationals.  All decisions are exact over the rationals: the
+oracles return every matching condition set, since the sets genuinely overlap
+(the zero vector satisfies all of them).
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ PARAM_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
 
 class HypothesesViolated(ValueError):
     """Parameters do not satisfy a normal form's reduction hypotheses."""
+
+
+class NotConserved(ValueError):
+    """No polynomial first integral: a nonzero Lie derivative or divergence."""
 
 
 @dataclass(frozen=True)
@@ -98,30 +108,24 @@ def build_system(params: FamilyParams) -> VectorField:
     return VectorField(p, q)
 
 
+def _im_product(*factors: tuple[Fraction, Fraction]) -> Fraction:
+    """Im of the product of Gaussian rationals, each given as (re, im)."""
+    re, im = factors[0]
+    for a, b in factors[1:]:
+        re, im = re * a - im * b, re * b + im * a
+    return im
+
+
 def f_invariant(params: FamilyParams) -> Fraction:
-    a1, a2 = params.a1, params.a2
-    d1, d2 = params.d1, params.d2
-    return (
-        a2**2 * d2**3
-        - 3 * a2**2 * d2 * d1**2
-        + 6 * a2 * a1 * d2**2 * d1
-        - 2 * a2 * a1 * d1**3
-        - a1**2 * d2**3
-        + 3 * a1**2 * d2 * d1**2
-    )
+    """F = Im(conj(A3)^2 * A6^3)."""
+    a3, a6 = (params.a1, -params.a2), (params.d1, params.d2)
+    return _im_product(a3, a3, a6, a6, a6)
 
 
 def g_invariant(params: FamilyParams) -> Fraction:
-    a1, a2 = params.a1, params.a2
-    b1, b2 = params.b1, params.b2
-    return (
-        -(a2**2) * b2**3
-        + 3 * a2**2 * b2 * b1**2
-        + 6 * a2 * a1 * b2**2 * b1
-        - 2 * a2 * a1 * b1**3
-        + a1**2 * b2**3
-        - 3 * a1**2 * b2 * b1**2
-    )
+    """G = Im(conj(A3)^2 * conj(A4)^3)."""
+    a3, a4 = (params.a1, -params.a2), (params.b1, -params.b2)
+    return _im_product(a3, a3, a4, a4, a4)
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def center_cases(params: FamilyParams) -> CenterReport:
     f_val = f_invariant(params)
     g_val = g_invariant(params)
     cases = []
-    cross = b2 * d1 + d2 * b1
+    cross = _im_product((b1, b2), (d1, d2))  # Im(A4*A6)
     if c2 == 0 and cross == 0 and 3 * b1 - d1 == 0:
         cases.append("i")
     if c2 == 0 and cross == 0 and f_val == 0:
@@ -200,54 +204,55 @@ def global_cases(params: FamilyParams) -> GlobalReport:
     return GlobalReport(tuple(statements))
 
 
-def _require(condition: bool, tag: str, what: str) -> None:
-    if not condition:
-        raise HypothesesViolated(f"normal form {tag} requires {what}")
+# each reduced normal form's hypotheses, as text and as a test of the parameters
+_NORMAL_FORMS = {
+    "aa1": ("a1=a2=b2=c2=d2=0, d1=3*b1, c1=-4*b1",
+            lambda p: p.a1 == p.a2 == p.b2 == p.c2 == p.d2 == 0
+            and p.d1 == 3 * p.b1 and p.c1 == -4 * p.b1),
+    "aa2": ("a1=a2=b2=c1=c2=d2=0, d1=3*b1",
+            lambda p: p.a1 == p.a2 == p.b2 == p.c1 == p.c2 == p.d2 == 0 and p.d1 == 3 * p.b1),
+    "aa3": ("a2=b1=b2=c2=d1=d2=0", lambda p: p.a2 == p.b1 == p.b2 == p.c2 == p.d1 == p.d2 == 0),
+    "aa4": ("a1=a2=b2=c2=d2=0, d1=-b1-c1",
+            lambda p: p.a1 == p.a2 == p.b2 == p.c2 == p.d2 == 0 and p.d1 == -p.b1 - p.c1),
+    "bb5": ("a2=b2=c1=c2=d2=0", lambda p: p.a2 == p.b2 == p.c1 == p.c2 == p.d2 == 0),
+    "bb7": ("a1=a2=b1=b2=c2=d2=0, d1=-c1",
+            lambda p: p.a1 == p.a2 == p.b1 == p.b2 == p.c2 == p.d2 == 0 and p.d1 == -p.c1),
+}
 
 
 def normal_form(tag: str, params: FamilyParams) -> VectorField:
-    """Reduced system for one of the coefficient regimes.
-
-    The returned field is asserted equal to build_system(params), so the
-    registry cannot drift from the family construction.
-    """
-    a1, a2, b1, b2, c1, c2, d1, d2 = params.as_tuple()
-    zero = Poly2.zero()
-    if tag == "aa1":
-        _require(a1 == a2 == b2 == c2 == d2 == 0, tag, "a1=a2=b2=c2=d2=0")
-        _require(d1 == 3 * b1 and 4 * b1 == -c1, tag, "d1=3*b1 and b1=-c1/4")
-        p = Poly2({(0, 1): 1, (2, 1): -c1})
-        q = Poly2({(1, 0): -1, (1, 2): c1})
-    elif tag == "aa2":
-        _require(a1 == a2 == b2 == c1 == c2 == d2 == 0, tag, "a1=a2=b2=c1=c2=d2=0")
-        _require(d1 == 3 * b1, tag, "d1=3*b1")
-        p = Poly2({(0, 1): 1})
-        q = Poly2({(1, 0): -1, (3, 0): 4 * b1})
-    elif tag == "aa3":
-        _require(a2 == b1 == b2 == c2 == d1 == d2 == 0, tag, "a2=b1=b2=c2=d1=d2=0")
-        p = Poly2({(0, 1): 1, (1, 1): 2 * a1, (2, 1): -c1})
-        q = Poly2({(1, 0): -1, (2, 0): a1, (0, 2): -a1, (3, 0): c1, (1, 2): c1})
-    elif tag == "aa4":
-        _require(a1 == a2 == b2 == c2 == d2 == 0, tag, "a1=a2=b2=c2=d2=0")
-        _require(d1 == -b1 - c1, tag, "d1=-b1-c1")
-        p = Poly2({(0, 1): 1, (2, 1): -(4 * b1 + 2 * c1)})
-        q = Poly2({(1, 0): -1, (1, 2): -4 * b1})
-    elif tag == "bb5":
-        _require(a2 == b2 == c1 == c2 == d2 == 0, tag, "a2=b2=c1=c2=d2=0")
-        p = Poly2({(0, 1): 1, (1, 1): 2 * a1, (2, 1): -(3 * b1 - d1)})
-        q = Poly2({
-            (1, 0): -1, (2, 0): a1, (0, 2): -a1,
-            (3, 0): b1 + d1, (1, 2): d1 - 3 * b1,
-        })
-    elif tag == "bb7":
-        _require(a1 == a2 == b1 == b2 == c2 == d2 == 0, tag, "a1=a2=b1=b2=c2=d2=0")
-        _require(d1 == -c1, tag, "d1=-c1")
-        p = Poly2({(0, 1): 1, (2, 1): -2 * c1})
-        q = Poly2({(1, 0): -1})
-    else:
+    """The family's field on one reduced regime, once its hypotheses hold."""
+    if tag not in _NORMAL_FORMS:
         raise ValueError(f"unknown normal form tag {tag!r}")
-    reduced = VectorField(p if not p.is_zero else zero, q)
-    full = build_system(params)
-    if reduced != full:
-        raise HypothesesViolated(f"normal form {tag} disagrees with the family construction")
-    return reduced
+    hypotheses, holds = _NORMAL_FORMS[tag]
+    if not holds(params):
+        raise HypothesesViolated(f"normal form {tag} requires {hypotheses}")
+    return build_system(params)
+
+
+# -- exact first integrals ------------------------------------------------------
+
+
+def lie_derivative(h: Poly2, vf: VectorField) -> Poly2:
+    return h.partial("x") * vf.p + h.partial("y") * vf.q
+
+
+def hamiltonian(vf: VectorField) -> Poly2:
+    """The H with dH/dy = p, dH/dx = -q and H(0, 0) = 0.
+
+    H is the integral of p in y minus the integral of q(x, 0) in x; it exists
+    exactly when the divergence dp/dx + dq/dy is zero, else NotConserved.
+    """
+    if not (vf.p.partial("x") + vf.q.partial("y")).is_zero:
+        raise NotConserved("the field has nonzero divergence, so no Hamiltonian")
+    return Poly2({
+        **{(i, j + 1): c / (j + 1) for (i, j), c in vf.p.terms.items()},
+        **{(i + 1, 0): -c / (i + 1) for (i, j), c in vf.q.terms.items() if j == 0},
+    })
+
+
+def conserved_quantity(tag: str, params: FamilyParams) -> Poly2:
+    """The first integral of a Hamiltonian normal form, aa1..aa3."""
+    if tag not in ("aa1", "aa2", "aa3"):
+        raise ValueError(f"no first integral for normal form {tag!r}")
+    return hamiltonian(normal_form(tag, params))

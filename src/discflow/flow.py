@@ -7,7 +7,8 @@ end time, one accepted step at a time, each kept packed in the orbit's record
 its dense quartic, so section crossings arrive in time order; escape is an
 outward crossing of the escape radius, where the stream ends.  The return-map
 verdicts read that stream and carry its record, which the portrait draws.
-The exact scan for other finite equilibria is in `equilibria`.
+The exact scan for other finite equilibria is in `equilibria`, the exact first
+integrals are in `family`; `first_integral_check` measures their float drift.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .compactify import InfinityReport, infinite_equilibria
 from .equilibria import finite_equilibria
-from .family import FamilyParams, build_system, center_cases
+from .family import FamilyParams, NotConserved, build_system, center_cases, lie_derivative
 from .poly import Poly2, VectorField
 
 _T_GUARD = 1e-9
@@ -33,10 +33,6 @@ _TANGENCY = "start is an equilibrium or a section tangency"
 
 class StepUnderflow(RuntimeError):
     """The integrator failed (stiffness or a finite-time singularity)."""
-
-
-class NotConserved(ValueError):
-    """The candidate first integral has a nonzero Lie derivative."""
 
 
 @dataclass(frozen=True)
@@ -118,21 +114,24 @@ def _poly_expr(p: Poly2) -> str:
 
 
 @lru_cache
-def _compile(vf: VectorField) -> dict:
-    """The field as rhs(t, (x, y)) -> (p, q) and as f(z) -> p + iq with z = x + iy."""
+def _compile(vf: VectorField):
+    """The field as f(z) -> p + iq with z = x + iy."""
     p, q = _poly_expr(vf.p), _poly_expr(vf.q)
-    src = (
-        f"def rhs(t, z):\n    x, y = z[0], z[1]\n    return ({p}, {q})\n"
-        f"def f(z):\n    x, y = z.real, z.imag\n    return complex({p}, {q})\n"
-    )
+    src = f"def f(z):\n    x, y = z.real, z.imag\n    return complex({p}, {q})\n"
     namespace: dict = {}
     exec(src, {"__builtins__": {}, "complex": complex}, namespace)
-    return namespace
+    return namespace["f"]
 
 
 def compile_rhs(vf: VectorField):
-    """Compile the field into a float right-hand side f(t, (x, y))."""
-    return _compile(vf)["rhs"]
+    """Compile the field into a float right-hand side f(t, (x, y)) -> (p, q)."""
+    f = _compile(vf)
+
+    def rhs(t, z):
+        w = f(complex(z[0], z[1]))
+        return w.real, w.imag
+
+    return rhs
 
 
 # -- the orbit engine ----------------------------------------------------------
@@ -179,7 +178,7 @@ def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj
     an outward crossing of the escape radius the step is cut at the exit and
     the stream ends; a step below 10 float spacings of t raises StepUnderflow.
     """
-    f, rtol, atol, r = _compile(vf)["f"], cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
+    f, rtol, atol, r = _compile(vf), cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
     t, z = 0.0, complex(x0[0], x0[1])
     k1 = f(z)
     sx, sy = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
@@ -360,10 +359,6 @@ def orbit_verdict(
 # -- first integrals ---------------------------------------------------------
 
 
-def lie_derivative(h: Poly2, vf: VectorField) -> Poly2:
-    return h.partial("x") * vf.p + h.partial("y") * vf.q
-
-
 def first_integral_check(vf: VectorField, h: Poly2, traj: Trajectory, n_samples: int = 2001) -> float:
     """Max drift of h along the trajectory; h must be exactly conserved."""
     if not lie_derivative(h, vf).is_zero:
@@ -371,22 +366,6 @@ def first_integral_check(vf: VectorField, h: Poly2, traj: Trajectory, n_samples:
     samples = traj.sample(n_samples)
     h0 = h.evaluate_float(samples[0][1], samples[0][2])
     return max(abs(h.evaluate_float(px, py) - h0) for _, px, py in samples)
-
-
-def conserved_quantity(tag: str, params: FamilyParams) -> Poly2:
-    """Known polynomial first integrals of the Hamiltonian-like regimes."""
-    c1, b1, a1 = params.c1, params.b1, params.a1
-    half = Fraction(1, 2)
-    if tag == "aa1":
-        return Poly2({(2, 0): half, (0, 2): half, (2, 2): -c1 / 2})
-    if tag == "aa2":
-        return Poly2({(2, 0): half, (4, 0): -b1, (0, 2): half})
-    if tag == "aa3":
-        return Poly2({
-            (2, 0): half, (3, 0): -a1 / 3, (4, 0): -c1 / 4,
-            (0, 2): half, (1, 2): a1, (2, 2): -c1 / 2,
-        })
-    raise ValueError(f"no catalogued first integral for {tag!r}")
 
 
 # -- the global-center verdict ------------------------------------------------

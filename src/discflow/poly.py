@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-Rational = Fraction
-
 Scalar = Union[int, str, Fraction]
 
 

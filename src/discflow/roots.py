@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-INTERVAL_WIDTH = Fraction(1, 10**12)
-CELL_BITS = 40  # an irrational root's cell is [k, k + 1] / 2**40, 2**-40 < INTERVAL_WIDTH
+CELL_BITS = 40  # an irrational root's cell is [k, k + 1] / 2**40, 2**-40 < 1e-12
 
 
 def _sqrt_exact(value: Fraction) -> Fraction | None:

@@ -17,10 +17,9 @@ import pytest
 from discflow.classify import PointType, classify_from_jacobian, refine_semihyperbolic
 from discflow.compactify import ChartId, chart_field, jacobian_at, rescale_infinity_line
 from discflow.desing import run_chain
-from discflow.family import FamilyParams, build_system, center_cases, global_cases
+from discflow.family import FamilyParams, build_system, center_cases, conserved_quantity, global_cases
 from discflow.flow import (
     IntegratorConfig,
-    conserved_quantity,
     first_integral_check,
     global_center_verdict,
     integrate,

@@ -1,20 +1,28 @@
 import json
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from discflow.family import (
     FamilyParams,
     HypothesesViolated,
+    NotConserved,
     build_system,
     center_cases,
+    conserved_quantity,
     f_invariant,
     from_complex,
     g_invariant,
     global_cases,
+    hamiltonian,
+    lie_derivative,
     normal_form,
 )
 from discflow.poly import Poly2, VectorField, X, Y
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 class TestParams:
@@ -215,3 +223,89 @@ class TestNormalForms:
     def test_normal_form_equals_family(self, tag, kwargs):
         p = FamilyParams.make(**kwargs)
         assert normal_form(tag, p) == build_system(p)
+
+
+def _cmul(u, v):
+    """Product of complex polynomials given as (re, im) pairs of Poly2."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+class TestComplexForm:
+    @given(st.tuples(*[rationals] * 8))
+    def test_build_system_is_complex_expansion_less_y_cubed(self, values):
+        # w' = -i*w + i*(A3*conj(w)^2 + A4*w^3 + A5*w^2*conj(w) + A6*w*conj(w)^2)
+        p = FamilyParams(*values)
+        w, wb = (X, Y), (X, -Y)
+        a3, a4, a5, a6 = ((Poly2.const(values[k]), Poly2.const(values[k + 1])) for k in range(0, 8, 2))
+        terms = [
+            _cmul(a3, _cmul(wb, wb)),
+            _cmul(a4, _cmul(w, _cmul(w, w))),
+            _cmul(a5, _cmul(w, _cmul(w, wb))),
+            _cmul(a6, _cmul(w, _cmul(wb, wb))),
+        ]
+        re = sum((t[0] for t in terms), Poly2.zero())
+        im = sum((t[1] for t in terms), Poly2.zero())
+        expansion = VectorField(Y - im, -X + re)
+        assert build_system(p) == VectorField(expansion.p - (p.b1 - p.c1 + p.d1) * Y**3, expansion.q)
+
+
+def _f_expanded(p):
+    a1, a2, d1, d2 = p.a1, p.a2, p.d1, p.d2
+    return (a2**2 * d2**3 - 3 * a2**2 * d2 * d1**2 + 6 * a2 * a1 * d2**2 * d1
+            - 2 * a2 * a1 * d1**3 - a1**2 * d2**3 + 3 * a1**2 * d2 * d1**2)
+
+
+def _g_expanded(p):
+    a1, a2, b1, b2 = p.a1, p.a2, p.b1, p.b2
+    return (-(a2**2) * b2**3 + 3 * a2**2 * b2 * b1**2 + 6 * a2 * a1 * b2**2 * b1
+            - 2 * a2 * a1 * b1**3 + a1**2 * b2**3 - 3 * a1**2 * b2 * b1**2)
+
+
+@given(st.tuples(*[rationals] * 8))
+def test_invariants_equal_their_expansions(values):
+    p = FamilyParams(*values)
+    assert f_invariant(p) == _f_expanded(p)
+    assert g_invariant(p) == _g_expanded(p)
+
+
+HALF = F(1, 2)
+
+
+class TestHamiltonian:
+    @given(rationals, rationals, rationals, rationals, rationals)
+    def test_divergence_free_stratum(self, a1, a2, b1, b2, c1):
+        p = FamilyParams(a1, a2, b1, b2, c1, F(0), 3 * b1, -3 * b2)
+        vf = build_system(p)
+        h = hamiltonian(vf)
+        assert lie_derivative(h, vf).is_zero
+        assert h.partial("y") == vf.p and h.partial("x") == -vf.q
+        assert h.homogeneous_part(2) == HALF * (X**2 + Y**2)
+        assert h.coefficient(0, 0) == 0
+
+    def test_nonzero_divergence_refused(self):
+        with pytest.raises(NotConserved):
+            hamiltonian(build_system(FamilyParams.make(c2=1)))
+        with pytest.raises(NotConserved):
+            hamiltonian(build_system(FamilyParams.make(b1=1, c2=F(-1, 3), d1=3)))
+
+    @pytest.mark.parametrize(
+        "tag,kwargs,expected",
+        [
+            ("aa1", {"b1": 1, "c1": -4, "d1": 3}, HALF * (X**2 + Y**2) + 2 * X**2 * Y**2),
+            ("aa2", {"b1": -1, "d1": -3}, HALF * (X**2 + Y**2) + X**4),
+            ("aa3", {"a1": 1, "c1": -2},
+             HALF * (X**2 + Y**2) - F(1, 3) * X**3 + HALF * X**4 + X * Y**2 + X**2 * Y**2),
+            ("aa3", {"a1": F(-2, 3), "c1": F(-5, 4)},
+             HALF * (X**2 + Y**2) + F(2, 9) * X**3 + F(5, 16) * X**4 - F(2, 3) * X * Y**2
+             + F(5, 8) * X**2 * Y**2),
+        ],
+    )
+    def test_catalogued_integrals(self, tag, kwargs, expected):
+        assert conserved_quantity(tag, FamilyParams.make(**kwargs)) == expected
+
+    def test_outside_regime_refused(self):
+        # d1 != 3*b1: x' = y - 2x^2 y, y' = -x + 2x^3 - 2xy^2 has divergence -8xy
+        with pytest.raises(HypothesesViolated):
+            conserved_quantity("aa2", FamilyParams.make(b1=1, d1=1))
+        with pytest.raises(ValueError):
+            conserved_quantity("bb5", FamilyParams())

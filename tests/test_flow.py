@@ -8,18 +8,22 @@ import pytest
 from scipy.integrate import RK45, solve_ivp
 
 import discflow.flow as flow
-from discflow.family import FamilyParams, build_system, global_cases
+from discflow.family import (
+    FamilyParams,
+    NotConserved,
+    build_system,
+    conserved_quantity,
+    global_cases,
+    lie_derivative,
+)
 from discflow.flow import (
     IntegratorConfig,
-    NotConserved,
     StepUnderflow,
     compile_rhs,
-    conserved_quantity,
     finite_equilibria,
     first_integral_check,
     global_center_verdict,
     integrate,
-    lie_derivative,
     orbit_verdict,
     return_map_verdict,
     sample_points,

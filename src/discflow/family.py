@@ -176,34 +176,6 @@ def center_cases(params: FamilyParams) -> CenterReport:
     return CenterReport(tuple(cases), f_val, g_val)
 
 
-def global_cases(params: FamilyParams) -> GlobalReport:
-    """Every condition set under which the center is global.
-
-    Inequality strictness is transcribed literally: the boundary 2*b1+c1 = 0
-    in statement (e) is allowed, everything in (f) is strict.
-    """
-    a1, a2, b1, b2, c1, c2, d1, d2 = params.as_tuple()
-    statements = []
-    if (a1 == a2 == b2 == c2 == d2 == 0 and d1 == 3 * b1
-            and 4 * b1 == -c1 and c1 < 0):
-        statements.append("a")
-    if a1 == a2 == b2 == c1 == c2 == d2 == 0 and d1 == 3 * b1 and b1 < 0:
-        statements.append("b")
-    if a2 == b1 == b2 == c2 == d1 == d2 == 0 and a1 * a1 + c1 < 0:
-        statements.append("c")
-    if params.is_zero():
-        statements.append("d")
-    if (a1 == a2 == b2 == c2 == d2 == 0 and d1 == -b1 - c1 and d1 != 3 * b1
-            and 2 * b1 + c1 <= 0 and b1 > 0):
-        statements.append("e")
-    if (a2 == b2 == c1 == c2 == d2 == 0 and b1 != 0
-            and a1 * a1 + 3 * b1 - d1 < 0 and a1 * a1 + 4 * (b1 + d1) < 0):
-        statements.append("f")
-    if a1 == a2 == b1 == b2 == c2 == d2 == 0 and d1 == -c1 and d1 > 0:
-        statements.append("g")
-    return GlobalReport(tuple(statements))
-
-
 # each reduced normal form's hypotheses, as text and as a test of the parameters
 _NORMAL_FORMS = {
     "aa1": ("a1=a2=b2=c2=d2=0, d1=3*b1, c1=-4*b1",
@@ -218,6 +190,32 @@ _NORMAL_FORMS = {
     "bb7": ("a1=a2=b1=b2=c2=d2=0, d1=-c1",
             lambda p: p.a1 == p.a2 == p.b1 == p.b2 == p.c2 == p.d2 == 0 and p.d1 == -p.c1),
 }
+
+
+# each global statement as (normal form, the conditions left beyond its
+# hypotheses); (d), the zero vector, has no normal form of its own
+_STATEMENTS = {
+    "a": ("aa1", lambda p: p.c1 < 0),
+    "b": ("aa2", lambda p: p.b1 < 0),
+    "c": ("aa3", lambda p: p.a1 * p.a1 + p.c1 < 0),
+    "d": (None, FamilyParams.is_zero),
+    "e": ("aa4", lambda p: p.d1 != 3 * p.b1 and 2 * p.b1 + p.c1 <= 0 and p.b1 > 0),
+    "f": ("bb5", lambda p: p.b1 != 0 and p.a1 * p.a1 + 3 * p.b1 - p.d1 < 0
+          and p.a1 * p.a1 + 4 * (p.b1 + p.d1) < 0),
+    "g": ("bb7", lambda p: p.d1 > 0),
+}
+
+
+def global_cases(params: FamilyParams) -> GlobalReport:
+    """Every condition set under which the center is global.
+
+    Inequality strictness is transcribed literally: the boundary 2*b1+c1 = 0
+    in statement (e) is allowed, everything in (f) is strict.
+    """
+    return GlobalReport(tuple(
+        name for name, (form, rest) in _STATEMENTS.items()
+        if (form is None or _NORMAL_FORMS[form][1](params)) and rest(params)
+    ))
 
 
 def normal_form(tag: str, params: FamilyParams) -> VectorField:

@@ -5,8 +5,10 @@ Floats live only here.  Every orbit runs through one engine: scipy's RK45
 end time, one accepted step at a time, each kept packed in the orbit's record
 (a `Trajectory`).  Sign changes of y within a step are bisected to 1e-12 on
 its dense quartic, so section crossings arrive in time order; escape is an
-outward crossing of the escape radius, where the stream ends.  The return-map
-verdicts read that stream and carry its record, which the portrait draws.
+outward crossing of the escape radius, where the stream ends.  One reader,
+`_read_orbit`, turns that stream into every `OrbitVerdict`, evaluating the
+field only through its compiled form, and each verdict carries its record,
+which the portrait draws.
 The exact scan for other finite equilibria is in `equilibria`, the exact first
 integrals are in `family`; `first_integral_check` measures their float drift.
 """
@@ -29,6 +31,7 @@ _T_GUARD = 1e-9
 _SUBDIV = 6
 _SCAN_OFFSETS = tuple(k / _SUBDIV for k in range(1, _SUBDIV + 1))
 _TANGENCY = "start is an equilibrium or a section tangency"
+_DRIFT_SAMPLES = 2001  # times at which first_integral_check reads a first integral
 
 
 class StepUnderflow(RuntimeError):
@@ -61,10 +64,6 @@ class Trajectory:
     steps: array = field(default_factory=lambda: array("d"))
     t_end: float = 0.0
     escaped: bool = False
-
-    @property
-    def escape_time(self) -> float | None:
-        return self.t_end if self.escaped else None
 
     def sample(self, n: int, t_end: float | None = None) -> list[tuple[float, float, float]]:
         """n evenly spaced (t, x, y) over [0, t_end], by default the whole record."""
@@ -121,17 +120,6 @@ def _compile(vf: VectorField):
     namespace: dict = {}
     exec(src, {"__builtins__": {}, "complex": complex}, namespace)
     return namespace["f"]
-
-
-def compile_rhs(vf: VectorField):
-    """Compile the field into a float right-hand side f(t, (x, y)) -> (p, q)."""
-    f = _compile(vf)
-
-    def rhs(t, z):
-        w = f(complex(z[0], z[1]))
-        return w.real, w.imag
-
-    return rhs
 
 
 # -- the orbit engine ----------------------------------------------------------
@@ -255,27 +243,36 @@ def _section_crossings(t1: float, step):
         ta, ya = tb, yb
 
 
-def _section_direction(vf: VectorField, x: float) -> int:
-    """+1 or -1 as the flow crosses y = 0 upward or downward at (x, 0); 0 if tangent."""
-    q0 = vf.q.evaluate_float(x, 0.0)
+def _section_direction(f, x: float) -> int:
+    """+1 or -1 as the compiled field f crosses y = 0 up or down at (x, 0); 0 if tangent."""
+    q0 = f(complex(x, 0.0)).imag
     return (q0 > 0.0) - (q0 < 0.0)
 
 
-def _read_orbit(
-    vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, direction: int | None
-) -> OrbitVerdict:
+def _read_orbit(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig) -> OrbitVerdict:
     """The verdict read off one integration from x0, carrying its record.
 
-    direction is the orientation of the return to look for when x0 lies on
-    the section, or None when x0 must first be carried to its first hit of
-    {y = 0, x > 0}; the return map then reads on in the same integration.
-    Each phase gets its own max_time, counted from where it starts, and an
-    exit time is counted from there too.
+    A start on the section {y = 0, x > 0} is armed there at t = 0: the
+    orientation of its crossing is fixed, and the verdict is read at the first
+    later crossing with that orientation.  Any other start is carried to its
+    first hit of the section and armed there, and the return map reads on in
+    the same integration.  Each phase gets its own max_time, counted from
+    where it starts, and an exit time is counted from there too.  A start
+    that is an equilibrium or a tangency is judged before any integration.
     """
-    traj = Trajectory()
-    t_from, x_from, deadline = 0.0, float(x0[0]), cfg.max_time
+    f, traj = _compile(vf), Trajectory()
+    x, y = float(x0[0]), float(x0[1])
+    t_from, x_from, deadline, direction = 0.0, x, cfg.max_time, None
+    if y == 0.0 and x > 0.0:
+        direction = _section_direction(f, x)
+        if not direction:
+            return OrbitVerdict.inconclusive(_TANGENCY)
+    else:
+        w = f(complex(x, y))
+        if abs(w.real) + abs(w.imag) == 0.0:
+            return OrbitVerdict.inconclusive("initial condition is an equilibrium")
     try:
-        for t1, step in _steps(vf, x0, cfg, traj):
+        for t1, step in _steps(vf, (x, y), cfg, traj):
             for tc, xc, d in _section_crossings(t1, step):
                 if tc > deadline:
                     break
@@ -287,7 +284,7 @@ def _read_orbit(
                         return OrbitVerdict.periodic(tc - t_from, closure, traj)
                     reason = f"section return displaced by {closure:.3e}"
                     return OrbitVerdict.inconclusive(reason, traj)
-                direction = _section_direction(vf, xc)
+                direction = _section_direction(f, xc)
                 if not direction:
                     return OrbitVerdict.inconclusive(_TANGENCY, traj)
                 t_from, x_from, deadline = tc, xc, tc + cfg.max_time
@@ -328,14 +325,9 @@ def return_map_verdict(
     section_closure_tol of the start; a displaced return is reported as
     inconclusive (the orbit is spiralling), never coerced.
     """
-    cfg = cfg or IntegratorConfig()
-    x_start = float(x0[0])
-    if float(x0[1]) != 0.0 or x_start <= 0.0:
+    if float(x0[1]) != 0.0 or float(x0[0]) <= 0.0:
         raise ValueError("start must lie on the section {y = 0, x > 0}")
-    direction = _section_direction(vf, x_start)
-    if not direction:
-        return OrbitVerdict.inconclusive(_TANGENCY)
-    return _read_orbit(vf, (x_start, 0.0), cfg, direction)
+    return _read_orbit(vf, x0, cfg or IntegratorConfig())
 
 
 def orbit_verdict(
@@ -346,24 +338,17 @@ def orbit_verdict(
     Off-section points are carried forward to their first transversal hit of
     {y = 0, x > 0}, and the same integration goes on into the return map.
     """
-    cfg = cfg or IntegratorConfig()
-    x, y = float(point[0]), float(point[1])
-    if y == 0.0 and x > 0.0:
-        return return_map_verdict(vf, (x, 0.0), cfg)
-    speed = abs(vf.p.evaluate_float(x, y)) + abs(vf.q.evaluate_float(x, y))
-    if speed == 0.0:
-        return OrbitVerdict.inconclusive("initial condition is an equilibrium")
-    return _read_orbit(vf, (x, y), cfg, None)
+    return _read_orbit(vf, point, cfg or IntegratorConfig())
 
 
 # -- first integrals ---------------------------------------------------------
 
 
-def first_integral_check(vf: VectorField, h: Poly2, traj: Trajectory, n_samples: int = 2001) -> float:
+def first_integral_check(vf: VectorField, h: Poly2, traj: Trajectory) -> float:
     """Max drift of h along the trajectory; h must be exactly conserved."""
     if not lie_derivative(h, vf).is_zero:
         raise NotConserved("Lie derivative of the candidate is not the zero polynomial")
-    samples = traj.sample(n_samples)
+    samples = traj.sample(_DRIFT_SAMPLES)
     h0 = h.evaluate_float(samples[0][1], samples[0][2])
     return max(abs(h.evaluate_float(px, py) - h0) for _, px, py in samples)
 

@@ -22,14 +22,16 @@ VERDICT_COLORS = {
 }
 
 
+MARGIN = 16.0  # pixels between the disc and the image edge
+SAMPLES_PER_ORBIT = 600
+STROKE_WIDTH = 1.1
+EXTRA_TIME = 25.0  # the longest an inconclusive orbit is drawn
+
+
 @dataclass(frozen=True)
 class PortraitSpec:
     width: int = 640
     height: int = 640
-    margin: float = 16.0
-    samples_per_orbit: int = 600
-    stroke_width: float = 1.1
-    extra_time: float = 25.0  # the longest an inconclusive orbit is drawn
 
 
 def disc_projection(x: float, y: float) -> tuple[float, float]:
@@ -88,14 +90,14 @@ def render_portrait(
 
     Each orbit is drawn from the record its verdict carries, with no new
     integration: a periodic orbit over its period, an escaping one to its
-    exit from the escape radius, an inconclusive one to spec.extra_time or
+    exit from the escape radius, an inconclusive one to EXTRA_TIME or
     its record's end, whichever comes first.  A sample with no record (an
     equilibrium or tangency start) is skipped.  vf and cfg are not read.
     """
     spec = spec or PortraitSpec()
     svg = _Svg(spec.width, spec.height)
     cx, cy = spec.width / 2.0, spec.height / 2.0
-    scale = min(spec.width, spec.height) / 2.0 - spec.margin
+    scale = min(spec.width, spec.height) / 2.0 - MARGIN
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         dx, dy = disc_projection(x, y)
@@ -107,10 +109,10 @@ def render_portrait(
         traj = orbit.trajectory
         if traj is None or not traj.steps:
             continue
-        t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, spec.extra_time)
-        samples = traj.sample(spec.samples_per_orbit, min(t_stop, traj.t_end))
+        t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
+        samples = traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
         pts = [to_px(px, py) for _, px, py in samples]
-        svg.polyline(pts, VERDICT_COLORS[orbit.tag], spec.stroke_width)
+        svg.polyline(pts, VERDICT_COLORS[orbit.tag], STROKE_WIDTH)
 
     for eq in verdict.extra_equilibria:
         ex, ey = to_px(eq[0], eq[1])

@@ -221,8 +221,14 @@ class TestNormalForms:
         ],
     )
     def test_normal_form_equals_family(self, tag, kwargs):
+        # each member passes its form; with a2 = 1 it passes no form and no
+        # global statement, since every statement but (d) lies on one form
         p = FamilyParams.make(**kwargs)
         assert normal_form(tag, p) == build_system(p)
+        off = FamilyParams.make(**kwargs, a2=1)
+        with pytest.raises(HypothesesViolated):
+            normal_form(tag, off)
+        assert global_cases(off).matching_statements == ()
 
 
 def _cmul(u, v):

@@ -19,7 +19,6 @@ from discflow.family import (
 from discflow.flow import (
     IntegratorConfig,
     StepUnderflow,
-    compile_rhs,
     finite_equilibria,
     first_integral_check,
     global_center_verdict,
@@ -32,6 +31,17 @@ from discflow.poly import Poly2, VectorField, X, Y
 
 LINEAR = VectorField(Y, -X)
 CFG = IntegratorConfig()
+
+
+def compile_rhs(vf: VectorField):
+    """The compiled field as scipy's right-hand side f(t, (x, y)) -> (p, q)."""
+    f = flow._compile(vf)
+
+    def rhs(t, z):
+        w = f(complex(z[0], z[1]))
+        return w.real, w.imag
+
+    return rhs
 
 
 class TestConfig:
@@ -74,7 +84,7 @@ class TestIntegrate:
         # c1 = 4 specialization has unbounded orbits through (1, 1)
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         traj = integrate(build_system(params), (1.0, 1.0), CFG)
-        assert traj.escaped and traj.escape_time < 10.0
+        assert traj.escaped and traj.t_end < 10.0
 
     def test_compiled_rhs_matches_exact(self):
         params = FamilyParams.make(a1=1, a2=-2, b1=3, b2=F(1, 2), c1=-1, d1=2, d2=F(2, 3))
@@ -235,6 +245,22 @@ class TestOrbitVerdict:
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         v = orbit_verdict(build_system(params), (0.5, 0.5), CFG)
         assert v.tag == "inconclusive"
+
+    def test_equilibrium_start_on_the_section(self):
+        # b1 = 1, c1 = 2, d1 = 1 has the lines of equilibria x = +/- 1/2
+        vf = build_system(FamilyParams.make(b1=1, c1=2, d1=1))
+        for v in (orbit_verdict(vf, (0.5, 0.0), CFG), return_map_verdict(vf, (0.5, 0.0), CFG)):
+            assert v.tag == "inconclusive"
+            assert v.reason == "start is an equilibrium or a section tangency"
+            assert v.trajectory is None
+
+    @pytest.mark.parametrize("start", [(0.5, 0.3), (-0.5, 0.25)])
+    def test_equilibrium_start_off_the_section(self, start):
+        vf = build_system(FamilyParams.make(b1=1, c1=2, d1=1))
+        v = orbit_verdict(vf, start, CFG)
+        assert v.tag == "inconclusive"
+        assert v.reason == "initial condition is an equilibrium"
+        assert v.trajectory is None
 
     # (0, 1) reaches the section at t = pi/2 and returns 2*pi later: each
     # phase has its own max_time, so 7 suffices although pi/2 + 2*pi > 7.

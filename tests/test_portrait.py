@@ -9,6 +9,7 @@ from discflow.compactify import infinite_equilibria
 from discflow.family import FamilyParams, build_system
 from discflow.flow import IntegratorConfig, OrbitVerdict, global_center_verdict
 from discflow.portrait import (
+    MARGIN,
     VERDICT_COLORS,
     PortraitSpec,
     disc_projection,
@@ -121,7 +122,7 @@ class TestDrawnFromRecords:
         curves = _polylines(svg, VERDICT_COLORS["escaping"])
         assert len(curves) == sum(1 for _, v in verdict.samples if v.tag == "escaping") > 0
         c = spec.width / 2.0
-        scale = c - spec.margin
+        scale = c - MARGIN
         for curve in curves:
             px, py = curve[-1]
             assert 1.0 - math.hypot(px - c, py - c) / scale < 0.02

@@ -181,10 +181,11 @@ def cmd_portrait(args) -> int:
     params = _load_params(args.params)
     cfg = _config_from_args(args)
     radii = _radii_from_args(args)
-    if args.width <= 0 or args.height <= 0:
-        raise CliError(f"bad portrait size {args.width}x{args.height}: both must be positive")
+    try:
+        spec = PortraitSpec(width=args.width, height=args.height)
+    except ValueError as exc:
+        raise CliError(f"bad portrait size {exc}") from exc
     verdict = global_center_verdict(params, cfg, sample_radii=radii)
-    spec = PortraitSpec(width=args.width, height=args.height)
     svg = render_portrait(build_system(params), verdict, verdict.infinity, spec, cfg)
     _emit(svg, args.out)
     return 0

@@ -2,13 +2,15 @@
 
 Floats live only here.  Every orbit runs through one engine: scipy's RK45
 (Dormand-Prince 5(4) and its step control) in plain Python floats, with no
-end time, one accepted step at a time, each kept packed in the orbit's record
-(a `Trajectory`).  Sign changes of y within a step are bisected to 1e-12 on
-its dense quartic, so section crossings arrive in time order; escape is an
-outward crossing of the escape radius, where the stream ends.  One reader,
-`_read_orbit`, turns that stream into every `OrbitVerdict`, evaluating the
-field only through its compiled form, and each verdict carries its record,
-which the portrait draws.
+end time, one accepted step at a time, each kept in the orbit's record (a
+`Trajectory`) as its start, size and stage slopes.  A sound screen on the
+slopes passes the few steps where y may change sign, and only there (and at
+an exit, or in a drawing) is a step's dense quartic built; sign changes are
+bisected to 1e-12 on it, so section crossings arrive in time order.  Escape
+is an outward crossing of the escape radius, where the stream ends.  One
+reader, `_read_orbit`, turns that stream into every `OrbitVerdict`,
+evaluating the field only through its compiled form, and each verdict
+carries its record, which the portrait draws.
 The exact scan for other finite equilibria is in `equilibria`, the exact first
 integrals are in `family`; `first_integral_check` measures their float drift.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,24 +56,37 @@ class IntegratorConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """The record of one orbit: its accepted steps, 12 floats each, in `steps`.
+    """The record of one orbit: its accepted steps, 16 floats each, in `steps`.
 
-    A step is t0, h, x, y, then (x, y) of c1..c4, the state at t0 + s*h being
-    (x, y) + s*(c1 + s*(c2 + s*(c3 + s*c4))); an escaped orbit ends at its exit.
-    """
+    A step is t0, h, x, y, then (x, y) of the stage slopes k1, k3..k7, which
+    `_quartic` turns into its dense quartic; an escaped orbit ends at its exit.
+    Each step attempt, accepted or `rejected`, costs 6 field evaluations."""
 
     steps: array = field(default_factory=lambda: array("d"))
     t_end: float = 0.0
     escaped: bool = False
+    rejected: int = 0
+
+    @property
+    def accepted(self) -> int:
+        return len(self.steps) // _STRIDE
+
+    @property
+    def nfev(self) -> int:
+        return 2 + 6 * (self.accepted + self.rejected)
 
     def sample(self, n: int, t_end: float | None = None) -> list[tuple[float, float, float]]:
         """n evenly spaced (t, x, y) over [0, t_end], by default the whole record."""
         t_end = self.t_end if t_end is None else t_end
-        starts, out = self.steps[::_STRIDE], []
+        steps, last, i, quartic, out = self.steps, len(self.steps) - _STRIDE, 0, None, []
         for k in range(n):
             t = t_end * k / max(n - 1, 1)
-            i = max(bisect_right(starts, t) - 1, 0) * _STRIDE
-            out.append((t, *_dense(self.steps[i : i + _STRIDE], t)))
+            # the last step starting at or before t: t never decreases
+            while i < last and not t < steps[i + _STRIDE]:
+                i, quartic = i + _STRIDE, None
+            if quartic is None:
+                quartic = _quartic(steps[i : i + _STRIDE])
+            out.append((t, *_dense(quartic, t)))
         return out
 
 
@@ -124,7 +138,7 @@ def _compile(vf: VectorField):
 
 # -- the orbit engine ----------------------------------------------------------
 
-_STRIDE = 12  # floats per recorded step
+_STRIDE = 16  # floats per recorded step
 
 
 def _bisect_time(g, a: float, b: float, width: float = 1e-12) -> float:
@@ -144,8 +158,37 @@ def _bisect_time(g, a: float, b: float, width: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
+def _quartic(step) -> tuple:
+    """A recorded step as t0, h, x, y, then (x, y) of c1..c4: at t0 + s*h the
+    state is (x, y) + s*(c1 + s*(c2 + s*(c3 + s*c4)))."""
+    t0, h, x, y, a1, b1, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7 = step
+    k1, k3, k4 = complex(a1, b1), complex(a3, b3), complex(a4, b4)
+    k5, k6, k7 = complex(a5, b5), complex(a6, b6), complex(a7, b7)
+    c1 = h * k1
+    c2 = h * (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
+              - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
+              - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
+    c3 = h * (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
+              + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
+              + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
+    c4 = h * (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
+              - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
+              - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
+    return (t0, h, x, y, c1.real, c1.imag, c2.real, c2.imag, c3.real, c3.imag, c4.real, c4.imag)
+
+
+def _may_cross(step) -> bool:
+    """False only if y cannot change sign at the scan points of the step: each row
+    of the dense matrix P sums to 0, so |d_j| <= |h|*sum_i |P_ji|*|Im k_i - Im k1|
+    (j = 2..4, weights summed and rounded up); 1e-6 covers rounding, a nan passes."""
+    _, h, _, y, _, i1, _, i3, _, i4, _, i5, _, i6, _, i7 = step
+    return not abs(y) > (1.0 + 1e-6) * abs(h) * (
+        abs(i1) + 12.95 * abs(i3 - i1) + 19.49 * abs(i4 - i1) + 12.48 * abs(i5 - i1)
+        + 6.42 * abs(i6 - i1) + 7.53 * abs(i7 - i1))
+
+
 def _dense(step, t: float) -> tuple[float, float]:
-    """The state at time t from a packed step's dense quartic."""
+    """The state at time t from a step's dense quartic (see `_quartic`)."""
     t0, h, x, y, c1, d1, c2, d2, c3, d3, c4, d4 = step
     s = (t - t0) / h
     return x + s * (c1 + s * (c2 + s * (c3 + s * c4))), y + s * (d1 + s * (d2 + s * (d3 + s * d4)))
@@ -162,7 +205,7 @@ def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj
 
     scipy's RK45 tableau, initial step and step control (safety 0.9, factors
     0.2 to 10, RMS error norm), so these are its steps to rounding; the state
-    x + iy is one complex number and step is packed as in Trajectory.  After
+    x + iy is one complex number and step is the 16 floats of Trajectory.  After
     an outward crossing of the escape radius the step is cut at the exit and
     the stream ends; a step below 10 float spacings of t raises StepUnderflow.
     """
@@ -177,9 +220,11 @@ def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj
     d2 = _norm(f(z + h0 * k1) - k1, sx, sy) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1)
+    # conditionals in place of max and min below give the same float, nan included
+    zx, zy, rz = abs(z.real), abs(z.imag), abs(z)
     while True:
         min_step = 10.0 * math.ulp(t)
-        h_abs, rejected = max(h_abs, min_step), False
+        h_abs, rejected = min_step if min_step > h_abs else h_abs, False
         while True:
             if not h_abs >= min_step:  # a nan step size fails too
                 raise StepUnderflow("Required step size is less than spacing between numbers.")
@@ -197,36 +242,31 @@ def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj
             k7 = f(zn)
             e = h * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4 + 17253 / 339200 * k5
                      - 22 / 525 * k6 + 1 / 40 * k7)
-            err = _norm(e, atol + max(abs(z.real), abs(zn.real)) * rtol,
-                        atol + max(abs(z.imag), abs(zn.imag)) * rtol)
+            ax, ay = abs(zn.real), abs(zn.imag)
+            ex = e.real / (atol + (ax if ax > zx else zx) * rtol)
+            ey = e.imag / (atol + (ay if ay > zy else zy) * rtol)
+            err = math.sqrt(0.5 * (ex * ex + ey * ey))
             if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
+                factor, cap = 10.0 if err == 0.0 else 0.9 * err**-0.2, 1.0 if rejected else 10.0
+                h_abs *= factor if factor < cap else cap
                 break
-            h_abs *= max(0.2, 0.9 * err**-0.2)
+            factor = 0.9 * err**-0.2
+            h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
-        # dense output: the state at t + s*h is z + s*(c1 + s*(c2 + s*(c3 + s*c4)))
-        c1 = h * k1
-        c2 = h * (-8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
-                  - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
-                  - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7)
-        c3 = h * (8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
-                  + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
-                  + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7)
-        c4 = h * (-12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
-                  - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
-                  - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
-        step = (t, h, z.real, z.imag, c1.real, c1.imag, c2.real, c2.imag, c3.real, c3.imag,
-                c4.real, c4.imag)
+            traj.rejected += 1
+        step = (t, h, z.real, z.imag, k1.real, k1.imag, k3.real, k3.imag, k4.real, k4.imag,
+                k5.real, k5.imag, k6.real, k6.imag, k7.real, k7.imag)
         traj.steps.extend(step)
-        escaped = abs(z) <= r < abs(zn)
+        rzn = abs(zn)
+        escaped = rz <= r < rzn
         if escaped:
-            t1 = _bisect_time(lambda t: math.hypot(*_dense(step, t)) - r, t, t1)
+            quartic = _quartic(step)
+            t1 = _bisect_time(lambda t: math.hypot(*_dense(quartic, t)) - r, t, t1)
         traj.t_end, traj.escaped = t1, escaped
         yield t1, step
         if escaped:
             return
-        t, z, k1 = t1, zn, k7
+        t, z, k1, zx, zy, rz = t1, zn, k7, ax, ay, rzn
 
 
 def _section_crossings(t1: float, step):
@@ -273,7 +313,7 @@ def _read_orbit(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig)
             return OrbitVerdict.inconclusive("initial condition is an equilibrium")
     try:
         for t1, step in _steps(vf, (x, y), cfg, traj):
-            for tc, xc, d in _section_crossings(t1, step):
+            for tc, xc, d in _section_crossings(t1, _quartic(step)) if _may_cross(step) else ():
                 if tc > deadline:
                     break
                 if tc - t_from <= _T_GUARD or xc <= 0.0 or direction not in (None, d):

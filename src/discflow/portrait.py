@@ -33,6 +33,10 @@ class PortraitSpec:
     width: int = 640
     height: int = 640
 
+    def __post_init__(self):
+        if not min(self.width, self.height) > 2 * MARGIN:
+            raise ValueError(f"{self.width}x{self.height}: each side must exceed {2 * MARGIN:g}")
+
 
 def disc_projection(x: float, y: float) -> tuple[float, float]:
     """Bijection of the plane onto the open unit disc; infinity -> boundary."""
@@ -62,8 +66,7 @@ class _Svg:
     def dot(self, cx, cy, r, fill):
         self.parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"/>')
 
-    def polyline(self, pts, stroke, width):
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+    def polyline(self, coords: str, stroke, width):
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}" stroke-linejoin="round"/>'
@@ -110,9 +113,11 @@ def render_portrait(
         if traj is None or not traj.steps:
             continue
         t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
+        # to_px inlined; a point lies at least MARGIN inside the image, so no -0.000
         samples = traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
-        pts = [to_px(px, py) for _, px, py in samples]
-        svg.polyline(pts, VERDICT_COLORS[orbit.tag], STROKE_WIDTH)
+        pts = ((x, y, 1.0 / (1.0 + math.hypot(x, y))) for _, x, y in samples)
+        coords = " ".join(f"{cx + scale * (x * q):.3f},{cy - scale * (y * q):.3f}" for x, y, q in pts)
+        svg.polyline(coords, VERDICT_COLORS[orbit.tag], STROKE_WIDTH)
 
     for eq in verdict.extra_equilibria:
         ex, ey = to_px(eq[0], eq[1])

@@ -312,6 +312,7 @@ BAD_INPUTS = {
     "zero-portrait-width": ("portrait", "--params", "{params}", "--width", "0"),
     "zero-portrait-height": ("portrait", "--params", "{params}", "--height", "0"),
     "negative-portrait-height": ("portrait", "--params", "{params}", "--height", "-640"),
+    "tiny-portrait": ("portrait", "--params", "{params}", "--width", "20", "--height", "20"),
 }
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import warnings
+from bisect import bisect_right
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import RK45, solve_ivp
 
 import discflow.flow as flow
@@ -42,6 +45,24 @@ def compile_rhs(vf: VectorField):
         return w.real, w.imag
 
     return rhs
+
+
+def bisect_sample(traj, n: int, t_end: float | None = None):
+    """The reference sampler: each time bisected into the step starts on its own."""
+    t_end = traj.t_end if t_end is None else t_end
+    starts, out = traj.steps[:: flow._STRIDE], []
+    for k in range(n):
+        t = t_end * k / max(n - 1, 1)
+        i = max(bisect_right(starts, t) - 1, 0) * flow._STRIDE
+        out.append((t, *flow._dense(flow._quartic(traj.steps[i : i + flow._STRIDE]), t)))
+    return out
+
+
+def recorded_steps(traj):
+    """(t1, step) for every step of a record, as the engine yielded them."""
+    stride = flow._STRIDE
+    steps = [tuple(traj.steps[i : i + stride]) for i in range(0, len(traj.steps), stride)]
+    return list(zip([step[0] for step in steps[1:]] + [traj.t_end], steps))
 
 
 class TestConfig:
@@ -114,11 +135,14 @@ class TestEngineMatchesScipy:
         dense = solver.dense_output()
         traj = integrate(vf, (5.0, 0.0), CFG, t_final=t_final)
         assert not traj.escaped and traj.t_end == t_final
-        starts = traj.steps[::12]  # 0.0, then the end of every step but the last
+        starts = traj.steps[::flow._STRIDE]  # 0.0, then the end of every step but the last
         # rounding differences feed back into the step sizes: the two grids
         # drift apart by up to about 1e-7 over these 1600 to 3300 steps
         assert abs(len(starts) - len(ends)) <= 1
         assert max(abs(a - b) for a, b in zip(starts[1:], ends)) < 1e-6
+        # the record's counters: 6 field evaluations per attempt, 2 for the first step
+        assert traj.accepted == len(starts) and traj.rejected > 0
+        assert abs(traj.accepted - len(ends)) <= 1 and abs(traj.nfev - solver.nfev) <= 12
         # the end state, and the dense output inside the last step
         for t in (t_final, 0.5 * (dense.t_old + dense.t)):
             _, x, y = traj.sample(2, t)[-1]
@@ -129,7 +153,7 @@ class TestRecord:
     def test_verdict_carries_its_record(self):
         v = orbit_verdict(LINEAR, (0.0, 1.0), CFG)
         traj = v.trajectory
-        assert v.tag == "periodic" and len(traj.steps) % 12 == 0
+        assert v.tag == "periodic" and len(traj.steps) % flow._STRIDE == 0
         # the carry phase (pi/2) and one period (2 pi) are both in the record
         assert traj.t_end >= math.pi / 2 + v.period
         _, x, y = traj.sample(2, v.period)[-1]
@@ -142,6 +166,14 @@ class TestRecord:
         assert v == bare and hash(v) == hash(bare)
         assert v.to_json() == bare.to_json() and "trajectory" not in v.to_json()
         assert repr(v) == repr(bare)
+
+    @pytest.mark.parametrize("n", [1, 2, 600])
+    def test_sample_matches_the_bisecting_reader(self, n):
+        control = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        escaping = orbit_verdict(control, (1.0, 1.0), CFG)
+        for traj in (orbit_verdict(LINEAR, (0.0, 1.0), CFG).trajectory, escaping.trajectory):
+            for t_end in (None, 0.37 * traj.t_end, traj.t_end + 5.0):
+                assert traj.sample(n, t_end) == bisect_sample(traj, n, t_end)
 
     def test_escaping_record_ends_at_the_exit(self):
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
@@ -284,6 +316,41 @@ class TestOrbitVerdict:
         # the start already lies outside the escape radius and never crosses it
         v = orbit_verdict(LINEAR, start, IntegratorConfig(escape_radius=0.5))
         assert v.tag == "periodic"
+
+
+class TestCrossingScreen:
+    """`_may_cross` skips a step only where the scan of its quartic finds nothing."""
+
+    def test_pinned_skip_and_pass(self):
+        traj = orbit_verdict(LINEAR, (0.0, 1.0), CFG).trajectory
+        steps = recorded_steps(traj)
+        _, first = steps[0]  # near (0, 1), far from y = 0
+        assert not flow._may_cross(first)
+        assert flow._may_cross(first[:5] + (math.nan,) + first[6:])
+        # y = cos t falls through 0 at t = pi/2, where x = 1
+        t1, step = next((t1, step) for t1, step in steps if step[0] <= math.pi / 2 < t1)
+        assert flow._may_cross(step)
+        [(tc, xc, d)] = flow._section_crossings(t1, flow._quartic(step))
+        assert d == -1 and tc == pytest.approx(math.pi / 2) and xc == pytest.approx(1.0)
+
+    @settings(max_examples=40)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2"]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        ),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_screen_is_sound(self, params, x, y):
+        vf = build_system(FamilyParams.make(**params))
+        traj = orbit_verdict(vf, (x, y), IntegratorConfig(max_time=20.0)).trajectory
+        for t1, step in recorded_steps(traj) if traj else ():
+            move = flow._dense(flow._quartic(step), t1)[1] - step[3]
+            # the same slopes from a start that the step's move of y carries just across 0
+            for probe in (step, step[:3] + (-0.999 * move,) + step[4:]):
+                if not flow._may_cross(probe):
+                    assert list(flow._section_crossings(t1, flow._quartic(probe))) == []
 
 
 class TestFirstIntegrals:

@@ -9,7 +9,9 @@ from discflow.compactify import infinite_equilibria
 from discflow.family import FamilyParams, build_system
 from discflow.flow import IntegratorConfig, OrbitVerdict, global_center_verdict
 from discflow.portrait import (
+    EXTRA_TIME,
     MARGIN,
+    SAMPLES_PER_ORBIT,
     VERDICT_COLORS,
     PortraitSpec,
     disc_projection,
@@ -64,6 +66,13 @@ class TestRenderPortrait:
         assert dataclasses.replace(verdict, infinity=None) == verdict
         assert "infinity=" not in repr(verdict).replace("line_at_infinity=", "")
 
+    def test_size_must_leave_a_positive_disc(self):
+        # at 2*MARGIN or less the disc's radius min(w, h)/2 - MARGIN is not positive
+        for width, height in [(32, 640), (640, 32), (20, 20), (0, 640), (-5, 640)]:
+            with pytest.raises(ValueError):
+                PortraitSpec(width=width, height=height)
+        assert PortraitSpec(width=33, height=33).width == 33
+
     def test_line_at_infinity_highlighted(self):
         params = FamilyParams.make(b2=1, d2=1)
         cfg = IntegratorConfig()
@@ -83,7 +92,50 @@ def _polylines(svg: str, stroke: str) -> list[list[tuple[float, float]]]:
     ]
 
 
+def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
+    """The polylines' points drawn point by point through to_px and the -0.000 rule."""
+    cx, cy = spec.width / 2.0, spec.height / 2.0
+    scale = min(spec.width, spec.height) / 2.0 - MARGIN
+
+    def to_px(x, y):
+        dx, dy = disc_projection(x, y)
+        return cx + scale * dx, cy - scale * dy
+
+    def fmt(value):
+        out = f"{value:.3f}"
+        return "0.000" if out == "-0.000" else out
+
+    lines = []
+    for _, orbit in verdict.samples:
+        traj = orbit.trajectory
+        if traj is None or not traj.steps:
+            continue
+        t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
+        samples = traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
+        pts = [to_px(x, y) for _, x, y in samples]
+        lines.append(" ".join(f"{fmt(px)},{fmt(py)}" for px, py in pts))
+    return lines
+
+
 class TestDrawnFromRecords:
+    @pytest.mark.parametrize(
+        "base, spec",
+        [
+            (dict(b1=-1, c1=4, d1=-3), PortraitSpec()),
+            (dict(b2=1, d2=1), PortraitSpec(width=33, height=200)),
+            (dict(b1=1, c1=-4, d1=3), PortraitSpec(width=300, height=120)),
+        ],
+        ids=["control", "line-at-infinity", "global"],
+    )
+    def test_polylines_match_the_reference_drawing(self, base, spec):
+        params = FamilyParams.make(**base)
+        vf = build_system(params)
+        verdict = global_center_verdict(params, sample_radii=(0.5, 2.0), angles=4)
+        svg = render_portrait(vf, verdict, infinite_equilibria(vf), spec)
+        lines = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
+        drawn = [line.get("points") for line in lines]
+        assert drawn == reference_polylines(verdict, spec) and len(drawn) == 8
+
     def test_render_never_integrates(self, monkeypatch):
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         vf = build_system(params)

@@ -13,7 +13,7 @@ import importlib
 _EXPORTS = {
     "poly": ("DegreeTooLow", "NotDivisible", "Poly2", "VectorField", "rat"),
     "compactify": ("ChartField", "ChartId", "InfinityReport", "chart_field", "infinite_equilibria",
-                   "jacobian_at", "rescale_infinity_line"),
+                   "rescale_infinity_line"),
     "desing": ("BlowupChain", "BlowupStep", "ChainTooDeep", "CharacteristicPoly", "NotEquilibrium",
                "ZeroAlpha", "characteristic_directions", "choose_shear_beta", "run_chain", "shear",
                "time_rescale", "translate", "twist", "vertical_blowup"),

@@ -122,7 +122,7 @@ def _solve_fast_equation(lam: Fraction, a_part: Poly2) -> Poly2:
     """Series x = f(y) with lam*f + a_part(f, y) = 0, truncated at order 6."""
     f = Poly2.zero()
     for _ in range(CENTER_MANIFOLD_ORDER + 2):
-        f_next = a_part.substitute(f, Y).scale(Fraction(-1) / lam).truncated(CENTER_MANIFOLD_ORDER)
+        f_next = (a_part.substitute(f, Y) * (Fraction(-1) / lam)).truncated(CENTER_MANIFOLD_ORDER)
         if f_next == f:
             break
         f = f_next
@@ -153,7 +153,7 @@ def refine_semihyperbolic(vf: VectorField, point: tuple) -> EquilibriumClass:
     slow = _kernel_vector(jac)
     aligned = linear_change(local, (fast[0], slow[0], fast[1], slow[1]))
     # aligned now has Jacobian diag(lam, 0); split off the linear fast part
-    a_part = aligned.p - X.scale(lam)
+    a_part = aligned.p - X * lam
     f = _solve_fast_equation(lam, a_part)
     g = aligned.q.substitute(f, Y).truncated(CENTER_MANIFOLD_ORDER)
     by_order = sorted((j, c) for (i, j), c in g.terms.items() if i == 0 and c)

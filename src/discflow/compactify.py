@@ -2,17 +2,18 @@
 
 The plane is identified with the interior of the unit disc and the circle at
 infinity is covered by the charts U1/U2 (and their antipodal V-charts, which
-carry the same field up to the sign (-1)**(n-1)).  In chart coordinates
-(u, v) the line v = 0 is the circle at infinity and is invariant.
+carry the same field up to the sign (-1)**(n-1)), n the effective degree.  In
+chart coordinates (u, v) the line v = 0 is the circle at infinity and is
+invariant.  Its equilibria are read off the direction form y*p_n - x*q_n
+alone; Jacobians there come from `VectorField.jacobian` of a chart field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .poly import DegreeTooLow, NotDivisible, Poly2, VectorField, X, Y
+from .poly import Poly2, VectorField, X, Y
 from .roots import RealRoot, poly_coeffs_in_x, real_roots
 
 
@@ -70,27 +71,22 @@ def _u1_components(vf: VectorField, n: int) -> tuple[Poly2, Poly2]:
     return qd - X * pd, -(Y * pd)
 
 
-def chart_field(vf: VectorField, chart: ChartId, n: int | None = None) -> ChartField:
-    """Express vf in a local chart at infinity.
-
-    n defaults to the effective degree of vf, which keeps sub-cubic
-    specializations honest (a forced higher n would manufacture a spurious
-    line of equilibria); pass n explicitly to reproduce a fixed convention.
-    """
+def chart_field(vf: VectorField, chart: ChartId) -> ChartField:
+    """Express vf in a local chart at infinity, dilated by the effective degree
+    n of vf, which keeps sub-cubic specializations honest: a higher n would
+    multiply both components by a power of v, a spurious line of equilibria."""
     chart = ChartId(chart)
-    n_used = vf.effective_degree if n is None else n
-    if n_used < vf.effective_degree:
-        raise DegreeTooLow(f"n={n_used} below effective degree {vf.effective_degree}")
+    n = vf.effective_degree
     if chart in (ChartId.U1, ChartId.V1):
-        pu, pv = _u1_components(vf, n_used)
+        pu, pv = _u1_components(vf, n)
     elif chart in (ChartId.U2, ChartId.V2):
         # U2 is U1 of the field with x and y exchanged
-        pu, pv = _u1_components(VectorField(vf.q.swap_vars(), vf.p.swap_vars()), n_used)
+        pu, pv = _u1_components(VectorField(vf.q.swap_vars(), vf.p.swap_vars()), n)
     else:
-        return ChartField(chart, vf, n_used)
-    if chart in (ChartId.V1, ChartId.V2) and (n_used - 1) % 2 == 1:
+        return ChartField(chart, vf, n)
+    if chart in (ChartId.V1, ChartId.V2) and (n - 1) % 2 == 1:
         pu, pv = -pu, -pv
-    return ChartField(chart, VectorField(pu, pv), n_used)
+    return ChartField(chart, VectorField(pu, pv), n)
 
 
 def rescale_infinity_line(cf: ChartField) -> ChartField:
@@ -98,37 +94,28 @@ def rescale_infinity_line(cf: ChartField) -> ChartField:
 
     Applies when the circle at infinity is filled with equilibria; the
     reduced field has the same orbits away from v = 0 and its v = 0 dynamics
-    is the field induced on the infinity line.
+    is the field induced on the infinity line.  Raises NotDivisible otherwise.
     """
-    if not (cf.field.p.monomial_multiple("y", 1) and cf.field.q.monomial_multiple("y", 1)):
-        raise NotDivisible("v does not divide both chart components")
     return ChartField(cf.chart, cf.field.divide_monomial("y", 1), cf.n_used)
 
 
-def jacobian_at(vf: VectorField, point: tuple[Fraction, Fraction]) -> list[list[Fraction]]:
-    """Exact Jacobian matrix of (p, q) at a rational point."""
-    return vf.jacobian(point)
-
-
-def infinite_equilibria(vf: VectorField, n: int | None = None) -> InfinityReport:
+def infinite_equilibria(vf: VectorField) -> InfinityReport:
     """Locate the equilibria on the circle at infinity.
 
-    Roots of the U1 chart's u-equation restricted to v = 0 cover every
-    direction except the vertical one, which is checked separately as the
-    origin of U2.  When the whole circle consists of equilibria only the
-    line flag is set and no isolated points are reported.
+    They are read off G = `vf.direction_form(n)`, n the effective degree: on
+    v = 0, U1's u' is -G(1, u), whose real roots cover every direction but the
+    vertical one, and U2's u' is G(u, 1), whose zero at u = 0 is the origin of
+    U2.  G = 0 means the whole circle consists of equilibria: only the line
+    flag is set and no isolated points are reported.
     """
-    n_used = vf.effective_degree if n is None else n
-    u1, u2 = (chart_field(vf, chart, n_used).field for chart in (ChartId.U1, ChartId.U2))
-    line = all(comp.monomial_multiple("y", 1) for comp in (u1.p, u1.q, u2.p, u2.q))
+    n = vf.effective_degree
+    g = vf.direction_form(n)
     equilibria: list[InfinityEquilibrium] = []
-    if not line:
-        g1 = poly_coeffs_in_x(u1.p)
-        if any(g1):
-            for root, mult in real_roots(g1):
-                equilibria.append(InfinityEquilibrium(ChartId.U1, root, mult))
-        g2 = poly_coeffs_in_x(u2.p)
-        if any(g2) and g2[0] == 0:
+    if g:
+        for root, mult in real_roots(poly_coeffs_in_x(-g.swap_vars(), 1)):
+            equilibria.append(InfinityEquilibrium(ChartId.U1, root, mult))
+        g2 = poly_coeffs_in_x(g, 1)
+        if g2[0] == 0:
             mult = next(k for k, c in enumerate(g2) if c != 0)
             equilibria.append(InfinityEquilibrium(ChartId.U2, RealRoot.rational(0), mult))
-    return InfinityReport(tuple(equilibria), line, n_used)
+    return InfinityReport(tuple(equilibria), not g, n)

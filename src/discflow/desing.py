@@ -29,7 +29,7 @@ class ChainTooDeep(RuntimeError):
 
 @dataclass(frozen=True)
 class CharacteristicPoly:
-    """The direction form p_n*y - q_n*x built from the lowest-order parts.
+    """The direction form y*p_n - x*q_n of the lowest-order parts, n = order.
 
     Real linear factors give the characteristic directions at the origin;
     the zero polynomial means every direction is characteristic.
@@ -45,11 +45,12 @@ class CharacteristicPoly:
 
 
 def characteristic_directions(vf: VectorField) -> CharacteristicPoly:
-    """Direction form at the origin; raises NotEquilibrium if it does not vanish."""
+    """`vf.direction_form` at the field's lowest order; raises NotEquilibrium
+    if the field does not vanish at the origin."""
     if not vf.is_equilibrium((0, 0)):
         raise NotEquilibrium("field does not vanish at the origin")
-    n, pn, qn = vf.lowest_parts()
-    r = pn * Y - qn * X
+    n = vf.lowest_order
+    r = vf.direction_form(n)
     vertical = r.evaluate(0, 1) == 0
     return CharacteristicPoly(r=r, order=n, vertical_is_characteristic=vertical)
 
@@ -60,12 +61,12 @@ def linear_change(vf: VectorField, m: tuple[Scalar, Scalar, Scalar, Scalar]) -> 
     det = m11 * m22 - m12 * m21
     if det == 0:
         raise ValueError("singular change of variables")
-    sx = X.scale(m11) + Y.scale(m12)
-    sy = X.scale(m21) + Y.scale(m22)
+    sx = X * m11 + Y * m12
+    sy = X * m21 + Y * m22
     p_new = vf.p.substitute(sx, sy)
     q_new = vf.q.substitute(sx, sy)
-    u_dot = p_new.scale(m22 / det) + q_new.scale(-m12 / det)
-    v_dot = p_new.scale(-m21 / det) + q_new.scale(m11 / det)
+    u_dot = p_new * (m22 / det) + q_new * (-m12 / det)
+    v_dot = p_new * (-m21 / det) + q_new * (m11 / det)
     return VectorField(u_dot, v_dot)
 
 

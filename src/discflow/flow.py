@@ -215,9 +215,10 @@ def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj
     sx, sy = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
     d0, d1 = _norm(z, sx, sy), _norm(k1, sx, sy)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    probe = f(z + h0 * k1)  # before the check, so nfev holds when the check fails too
     if not h0 > 0.0:  # the field overflows at x0
         raise StepUnderflow(f"initial step size {h0} is not positive")
-    d2 = _norm(f(z + h0 * k1) - k1, sx, sy) / h0
+    d2 = _norm(probe - k1, sx, sy) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1)
     # conditionals in place of max and min below give the same float, nan included

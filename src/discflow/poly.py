@@ -75,14 +75,6 @@ class Poly2:
     def const(cls, c: Scalar) -> "Poly2":
         return cls({(0, 0): rat(c)})
 
-    @classmethod
-    def x(cls) -> "Poly2":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def y(cls) -> "Poly2":
-        return cls({(0, 1): Fraction(1)})
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -168,12 +160,6 @@ class Poly2:
             k >>= 1
         return result
 
-    def scale(self, c: Scalar) -> "Poly2":
-        c = rat(c)
-        if not c:
-            return Poly2.zero()
-        return Poly2({key: v * c for key, v in self.terms.items()})
-
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, var: str) -> "Poly2":
@@ -200,7 +186,7 @@ class Poly2:
 
         out = Poly2.zero()
         for (i, j), c in self.terms.items():
-            out = out + (power(px, sx, i) * power(py, sy, j)).scale(c)
+            out = out + power(px, sx, i) * power(py, sy, j) * c
         return out
 
     def swap_vars(self) -> "Poly2":
@@ -312,10 +298,11 @@ class VectorField:
         orders = [c.lowest_order for c in (self.p, self.q) if not c.is_zero]
         return min(orders)
 
-    def lowest_parts(self) -> tuple[int, Poly2, Poly2]:
-        """(n, p_n, q_n) where n is the lowest total degree present."""
-        n = self.lowest_order
-        return n, self.p.homogeneous_part(n), self.q.homogeneous_part(n)
+    def direction_form(self, k: int) -> Poly2:
+        """y*p_k - x*q_k from the degree-k parts.  Its real linear factors give
+        the characteristic directions at the origin when k = lowest_order, and
+        the directions of the equilibria at infinity when k = effective_degree."""
+        return self.p.homogeneous_part(k) * Y - self.q.homogeneous_part(k) * X
 
     def evaluate(self, point: tuple[Scalar, Scalar]) -> tuple[Fraction, Fraction]:
         x, y = point
@@ -331,9 +318,6 @@ class VectorField:
             [self.q.partial("x").evaluate(x, y), self.q.partial("y").evaluate(x, y)],
         ]
 
-    def scale(self, c: Scalar) -> "VectorField":
-        return VectorField(self.p.scale(c), self.q.scale(c))
-
     def divide_monomial(self, var: str, k: int) -> "VectorField":
         return VectorField(self.p.divide_monomial(var, k), self.q.divide_monomial(var, k))
 
@@ -345,6 +329,6 @@ class VectorField:
         return f"VectorField(p={px}, q={qx})"
 
 
-X = Poly2.x()
-Y = Poly2.y()
+X = Poly2({(1, 0): 1})
+Y = Poly2({(0, 1): 1})
 

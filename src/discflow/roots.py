@@ -61,10 +61,6 @@ class RealRoot:
     def interval(cls, lo, hi) -> "RealRoot":
         return cls(kind="interval", lo=Fraction(lo), hi=Fraction(hi))
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind != "interval"
-
     def approx(self) -> float:
         if self.kind == "rational":
             return float(self.a)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from discflow.classify import PointType, classify_from_jacobian, refine_semihyperbolic
-from discflow.compactify import ChartId, chart_field, jacobian_at, rescale_infinity_line
+from discflow.compactify import ChartId, chart_field, rescale_infinity_line
 from discflow.desing import run_chain
 from discflow.family import FamilyParams, build_system, center_cases, conserved_quantity, global_cases
 from discflow.flow import (
@@ -120,7 +120,7 @@ def test_criterion_2_jacobian_fixtures():
     for kw in points:
         params = params_sum_slice(**kw)
         u2 = chart_field(build_system(params), ChartId.U2)
-        jac = jacobian_at(u2.field, (0, 0))
+        jac = u2.field.jacobian((0, 0))
         b1, b2, d1, a2 = F(kw["b1"]), F(kw["b2"]), F(kw["d1"]), F(kw["a2"])
         assert jac == [
             [2 * b2 * (b1 + d1) / b1, a2],
@@ -138,14 +138,14 @@ def test_criterion_3_classification_fixtures():
     # hyperbolic saddles at the chain origin, c1 < 0
     for c1 in (F(-4), F(-1, 2)):
         final = blown(params_triple_slice(b1=-c1 / 4, c1=c1), ChartId.U1)
-        assert classify_from_jacobian(jacobian_at(final, (0, 0))).kind is PointType.HYPERBOLIC_SADDLE
+        assert classify_from_jacobian(final.jacobian((0, 0))).kind is PointType.HYPERBOLIC_SADDLE
         checks += 1
 
     # unstable nodes at (0, +/- sqrt(c1)), c1 > 0
     for c1, root in ((F(1), 1), (F(4), 2)):
         final = blown(params_triple_slice(b1=-c1 / 4, c1=c1), ChartId.U1)
         for sign in (1, -1):
-            out = classify_from_jacobian(jacobian_at(final, (0, sign * root)))
+            out = classify_from_jacobian(final.jacobian((0, sign * root)))
             assert out.kind is PointType.HYPERBOLIC_NODE and out.stability == "unstable"
             checks += 1
 
@@ -172,18 +172,18 @@ def test_criterion_3_classification_fixtures():
 
     # stable node at (0, -2*a1) on the c1 = 0 slice
     final = blown(params_triple_slice(a1=1, b1=-1, c1=0), ChartId.U2)
-    out = classify_from_jacobian(jacobian_at(final, (0, -2)))
+    out = classify_from_jacobian(final.jacobian((0, -2)))
     assert out.kind is PointType.HYPERBOLIC_NODE and out.stability == "stable"
     checks += 1
 
     # double-blow-up endpoints: stable node for b1 = 1/2, saddles for b1 = -1
     final = u2_double_blowup_stage3(F(1, 2))
-    out = classify_from_jacobian(jacobian_at(final, (0, F(1, 2))))
+    out = classify_from_jacobian(final.jacobian((0, F(1, 2))))
     assert out.kind is PointType.HYPERBOLIC_NODE and out.stability == "stable"
     checks += 1
     final = u2_double_blowup_stage3(F(-1))
     for v in (0, 1):
-        assert classify_from_jacobian(jacobian_at(final, (0, v))).kind is PointType.HYPERBOLIC_SADDLE
+        assert classify_from_jacobian(final.jacobian((0, v))).kind is PointType.HYPERBOLIC_SADDLE
         checks += 1
 
     assert checks >= 10

@@ -11,7 +11,7 @@ from discflow.classify import (
     refine_semihyperbolic,
     spectrum_of,
 )
-from discflow.compactify import ChartId, chart_field, jacobian_at
+from discflow.compactify import ChartId, chart_field
 from discflow.desing import run_chain
 from discflow.family import FamilyParams, build_system
 from discflow.poly import Poly2, VectorField, X, Y
@@ -99,14 +99,14 @@ class TestPaperAssertedClassifications:
         # eigenvalues 2*c1 and -c1; saddle for c1 < 0
         for c1 in (F(-4), F(-1, 2)):
             final = blown_up_field(params_triple_slice(b1=-c1 / 4, c1=c1), ChartId.U1, ONE_BLOWUP)
-            jac = jacobian_at(final, (0, 0))
+            jac = final.jacobian((0, 0))
             assert jac == [[2 * c1, 0], [0, -c1]]
             assert classify_from_jacobian(jac).kind is PointType.HYPERBOLIC_SADDLE
 
     def test_quarter_slice_u2_origin_saddle(self):
         c1 = F(-4)
         final = blown_up_field(params_triple_slice(b1=-c1 / 4, c1=c1), ChartId.U2, ONE_BLOWUP)
-        jac = jacobian_at(final, (0, 0))
+        jac = final.jacobian((0, 0))
         assert jac == [[-2 * c1, 0], [0, c1]]
         assert classify_from_jacobian(jac).kind is PointType.HYPERBOLIC_SADDLE
 
@@ -115,7 +115,7 @@ class TestPaperAssertedClassifications:
         # equilibria (0, +/- sqrt(c1)) have eigenvalues c1 and 2*c1: unstable nodes
         final = blown_up_field(params_triple_slice(b1=-c1 / 4, c1=c1), ChartId.U1, ONE_BLOWUP)
         for sign in (1, -1):
-            jac = jacobian_at(final, (0, sign * root))
+            jac = final.jacobian((0, sign * root))
             assert jac[0][0] == c1 and jac[1][1] == 2 * c1
             assert classify_from_jacobian(jac) == EquilibriumClass(
                 PointType.HYPERBOLIC_NODE, "unstable"
@@ -144,7 +144,7 @@ class TestPaperAssertedClassifications:
         final = blown_up_field(
             params_sum_slice(b1=b1, c1=c1, d1=-b1 - c1), ChartId.U1, ONE_BLOWUP
         )
-        jac = jacobian_at(final, (0, 2))
+        jac = final.jacobian((0, 2))
         assert classify_from_jacobian(jac).kind is PointType.HYPERBOLIC_SADDLE
         assert jac[0][0] == 4 * b1 + 2 * c1 and jac[1][1] == -8 * b1
 
@@ -154,7 +154,7 @@ class TestPaperAssertedClassifications:
         final = blown_up_field(
             params_sum_slice(b1=b1, c1=c1, d1=-b1 - c1), ChartId.U1, ONE_BLOWUP
         )
-        jac = jacobian_at(final, (0, 2))
+        jac = final.jacobian((0, 2))
         assert classify_from_jacobian(jac) == EquilibriumClass(
             PointType.HYPERBOLIC_NODE, "unstable"
         )
@@ -173,7 +173,7 @@ class TestPaperAssertedClassifications:
         # b1 = 0, d1 = -c1 > 0: U1 chain origin is a semi-hyperbolic saddle
         d1 = F(1)
         final = blown_up_field(FamilyParams.make(c1=-d1, d1=d1), ChartId.U1, ONE_BLOWUP)
-        jac = jacobian_at(final, (0, 0))
+        jac = final.jacobian((0, 0))
         assert jac == [[-2 * d1, 0], [0, 0]]
         assert refine_semihyperbolic(final, (0, 0)).kind is PointType.SEMI_HYPERBOLIC_SADDLE
 
@@ -187,7 +187,7 @@ class TestPaperAssertedClassifications:
     def test_balanced_slice_u2_origin_saddle(self):
         d1 = F(1)
         final = blown_up_field(FamilyParams.make(c1=-d1, d1=d1), ChartId.U2, ONE_BLOWUP)
-        jac = jacobian_at(final, (0, 0))
+        jac = final.jacobian((0, 0))
         assert jac == [[2 * d1, 0], [0, -2 * d1]]
         assert classify_from_jacobian(jac).kind is PointType.HYPERBOLIC_SADDLE
 
@@ -198,7 +198,7 @@ class TestPaperAssertedClassifications:
         final = blown_up_field(
             params_triple_slice(a1=a1, b1=b1, c1=0), ChartId.U2, ONE_BLOWUP
         )
-        jac = jacobian_at(final, (0, -2 * a1))
+        jac = final.jacobian((0, -2 * a1))
         assert {jac[0][0], jac[1][1]} == {-2 * a1**2, -4 * a1**2}
         assert classify_from_jacobian(jac) == EquilibriumClass(
             PointType.HYPERBOLIC_NODE, "stable"
@@ -207,7 +207,7 @@ class TestPaperAssertedClassifications:
     def test_double_blowup_half_node(self):
         # b1 = 1/2: (0, 1/2) is a stable node with eigenvalues -1/4 and -1
         final = u2_double_blowup_stage3(F(1, 2))
-        jac = jacobian_at(final, (0, F(1, 2)))
+        jac = final.jacobian((0, F(1, 2)))
         spec = spectrum_of(jac)
         assert {spec.lambda1.a, spec.lambda2.a} == {F(-1, 4), F(-1)}
         assert classify_from_jacobian(jac) == EquilibriumClass(
@@ -218,10 +218,10 @@ class TestPaperAssertedClassifications:
         # b1 = -1: (0,0) has eigenvalues -4*b1, 4*b1 and (0,1) has -1, 2
         b1 = F(-1)
         final = u2_double_blowup_stage3(b1)
-        jac0 = jacobian_at(final, (0, 0))
+        jac0 = final.jacobian((0, 0))
         assert {jac0[0][0], jac0[1][1]} == {-4 * b1, 4 * b1}
         assert classify_from_jacobian(jac0).kind is PointType.HYPERBOLIC_SADDLE
-        jac1 = jacobian_at(final, (0, 1))
+        jac1 = final.jacobian((0, 1))
         spec = spectrum_of(jac1)
         assert {spec.lambda1.a, spec.lambda2.a} == {F(-1), F(2)}
         assert classify_from_jacobian(jac1).kind is PointType.HYPERBOLIC_SADDLE
@@ -230,7 +230,7 @@ class TestPaperAssertedClassifications:
         # b1 = 0 slice final stage: eigenvalues 3*a1^2 and -3*a1^2
         a1 = F(1)
         final = u2_mixed_second_blowup_rescaled(a1)
-        jac = jacobian_at(final, (0, 0))
+        jac = final.jacobian((0, 0))
         assert {jac[0][0], jac[1][1]} == {3 * a1**2, -3 * a1**2}
         assert classify_from_jacobian(jac).kind is PointType.HYPERBOLIC_SADDLE
 

@@ -175,6 +175,20 @@ class TestRecord:
             for t_end in (None, 0.37 * traj.t_end, traj.t_end + 5.0):
                 assert traj.sample(n, t_end) == bisect_sample(traj, n, t_end)
 
+    @pytest.mark.parametrize("overflow", [False, True], ids=["steps", "overflow"])
+    def test_nfev_counts_the_field_calls(self, monkeypatch, overflow):
+        vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3)) if overflow else LINEAR
+        f, calls = flow._compile(vf), []
+        monkeypatch.setattr(flow, "_compile", lambda _: lambda z: calls.append(z) or f(z))
+        traj = flow.Trajectory()
+        steps = flow._steps(vf, (1e200 if overflow else 5.0, 0.0), CFG, traj)
+        if overflow:  # the field overflows at the start: the initial step fails
+            with pytest.raises(StepUnderflow, match="^initial step size nan is not positive$"):
+                next(steps)
+        else:
+            assert len(list(zip(range(1000), steps))) == traj.accepted and traj.rejected > 0
+        assert traj.nfev == len(calls)
+
     def test_escaping_record_ends_at_the_exit(self):
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         v = orbit_verdict(build_system(params), (1.0, 1.0), CFG)

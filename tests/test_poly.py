@@ -104,10 +104,13 @@ def test_vector_field_invariants():
         VectorField(Poly2.zero(), Poly2.zero())
 
 
-def test_vector_field_lowest_parts():
+def test_vector_field_direction_form():
     vf = VectorField(Y + X**3, -X + Y**2)
-    n, pn, qn = vf.lowest_parts()
-    assert n == 1 and pn == Y and qn == -X
+    # y*p_k - x*q_k from the parts of degree k only
+    assert vf.direction_form(vf.lowest_order) == X**2 + Y**2
+    assert vf.direction_form(2) == -X * Y**2
+    assert vf.direction_form(vf.effective_degree) == X**3 * Y
+    assert vf.direction_form(0).is_zero
 
 
 def test_swap_vars():

@@ -11,11 +11,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from discflow.compactify import ChartId, chart_field
+from discflow.compactify import (
+    ChartId,
+    InfinityEquilibrium,
+    InfinityReport,
+    chart_field,
+    infinite_equilibria,
+)
 from discflow.desing import linear_change, time_rescale, vertical_blowup
 from discflow.classify import classify_from_jacobian
 from discflow.family import FamilyParams, build_system, center_cases, global_cases
 from discflow.poly import Poly2, VectorField, X, Y
+from discflow.roots import RealRoot, poly_coeffs_in_x, real_roots
 
 CASE_BUDGET = {
     "test_ring_laws": 200,
@@ -24,6 +31,7 @@ CASE_BUDGET = {
     "test_evaluation_homomorphism": 120,
     "test_chart_infinity_invariance": 120,
     "test_chart_compatibility": 60,
+    "test_infinity_matches_chart_restriction": 200,
     "test_blowdown_pushforward": 120,
     "test_rescale_direction_preservation": 120,
     "test_classify_invariances": 120,
@@ -79,10 +87,10 @@ def test_ring_laws(a, b, c):
 def test_substitution_roundtrip(a, m11, m12, m21, m22):
     det = m11 * m22 - m12 * m21
     assume(det != 0)
-    sx = X.scale(m11) + Y.scale(m12)
-    sy = X.scale(m21) + Y.scale(m22)
-    inv_sx = X.scale(m22 / det) + Y.scale(-m12 / det)
-    inv_sy = X.scale(-m21 / det) + Y.scale(m11 / det)
+    sx = X * m11 + Y * m12
+    sy = X * m21 + Y * m22
+    inv_sx = X * (m22 / det) + Y * (-m12 / det)
+    inv_sy = X * (-m21 / det) + Y * (m11 / det)
     assert a.substitute(sx, sy).substitute(inv_sx, inv_sy) == a
 
 
@@ -122,6 +130,74 @@ def test_chart_compatibility(params, u, v):
     wy = -v * du / u**2 + dv / u
     gx, gy = f2.evaluate((1 / F(u), F(v) / F(u)))
     assert wx * gy - wy * gx == 0
+
+
+def chart_restriction_infinity(vf: VectorField) -> InfinityReport:
+    """The reference reading of infinity: the U1 and U2 chart fields on v = 0."""
+    u1, u2 = (chart_field(vf, chart).field for chart in (ChartId.U1, ChartId.U2))
+    line = all(comp.monomial_multiple("y", 1) for comp in (u1.p, u1.q, u2.p, u2.q))
+    equilibria = []
+    if not line:
+        g1 = poly_coeffs_in_x(u1.p)
+        if any(g1):
+            for root, mult in real_roots(g1):
+                equilibria.append(InfinityEquilibrium(ChartId.U1, root, mult))
+        g2 = poly_coeffs_in_x(u2.p)
+        if any(g2) and g2[0] == 0:
+            mult = next(k for k, c in enumerate(g2) if c != 0)
+            equilibria.append(InfinityEquilibrium(ChartId.U2, RealRoot.rational(0), mult))
+    return InfinityReport(tuple(equilibria), line, vf.effective_degree)
+
+
+# factors of the direction form G = y*p_n - x*q_n that each draw kind plants
+PLANTED = {
+    "line": Poly2(),  # G = 0: the circle at infinity is all equilibria
+    "vertical": X**2,  # a repeated zero of G(u, 1) at u = 0, the origin of U2
+    "surd": Y**2 - 2 * X**2,  # G(1, u) has the roots +-sqrt(2)
+    "cell": Y**3 - Y * X**2 - X**3,  # G(1, u) has the irrational root of u^3 - u - 1
+}
+
+
+def homogeneous(draw, k: int) -> Poly2:
+    sparse = st.one_of(st.just(F(0)), rationals)
+    return Poly2({(i, k - i): draw(sparse) for i in range(k + 1)})
+
+
+@st.composite
+def infinity_fields(draw):
+    """Fields of degree 1-4 with the top parts drawn so that infinity is often
+    special: one top part zero, or a planted factor of the direction form."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["generic", "zero_p", "zero_q", *PLANTED]))
+    if kind in ("zero_p", "zero_q"):
+        top = homogeneous(draw, n)
+        pn, qn = (Poly2(), top) if kind == "zero_p" else (top, Poly2())
+    else:
+        if kind == "generic":
+            g = homogeneous(draw, n + 1)
+        else:
+            factor = PLANTED[kind]
+            assume(factor.degree <= n + 1)
+            cofactor = homogeneous(draw, n + 1 - max(factor.degree, 0))
+            assume(cofactor)
+            g = factor * cofactor
+        # every top pair with this G: (g0/y, -(g - g0)/x) plus any (x*h, y*h)
+        g0 = Poly2({key: c for key, c in g.terms.items() if key[0] == 0})
+        h = homogeneous(draw, n - 1)
+        pn = g0.divide_monomial("y", 1) + X * h
+        qn = Y * h - (g - g0).divide_monomial("x", 1)
+        assert pn * Y - qn * X == g
+    assume(pn or qn)
+    low = [Poly2({key: c for key, c in draw(polys()).terms.items() if sum(key) < n}) for _ in "pq"]
+    return VectorField(pn + low[0], qn + low[1])
+
+
+@settings(max_examples=CASE_BUDGET["test_infinity_matches_chart_restriction"])
+@given(infinity_fields())
+def test_infinity_matches_chart_restriction(vf):
+    got, want = infinite_equilibria(vf), chart_restriction_infinity(vf)
+    assert got == want
+    assert got.to_json() == want.to_json()
 
 
 @settings(max_examples=CASE_BUDGET["test_blowdown_pushforward"])

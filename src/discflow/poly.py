@@ -212,10 +212,6 @@ class Poly2:
             out[(i - k, j) if axis == 0 else (i, j - k)] = c
         return Poly2(out)
 
-    def monomial_multiple(self, var: str, k: int) -> bool:
-        axis = _var_index(var)
-        return all(key[axis] >= k for key in self.terms)
-
     def dilate_chart_numerator(self, n: int) -> "Poly2":
         """Clear denominators of self(1/v, u/v) by v**n; result in (u, v).
 

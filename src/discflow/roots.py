@@ -22,17 +22,6 @@ from functools import reduce
 CELL_BITS = 40  # an irrational root's cell is [k, k + 1] / 2**40, 2**-40 < 1e-12
 
 
-def _sqrt_exact(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    n, d = value.numerator, value.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 @dataclass(frozen=True)
 class RealRoot:
     """Exact-or-interval real algebraic number.
@@ -112,15 +101,23 @@ def quadratic_roots(a, b, c) -> list[tuple[RealRoot, int]]:
                 raise ValueError("zero polynomial has no isolated roots")
             return []
         return [(RealRoot.rational(-c / b), 1)]
+    # primitive over Z first, so the surd's text and float do not depend on the scale
+    a, b, c = _primitive([int(v * math.lcm(a.denominator, b.denominator, c.denominator))
+                          for v in (a, b, c)])
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
     if disc == 0:
-        return [(RealRoot.rational(-b / (2 * a)), 2)]
-    s = _sqrt_exact(disc)
-    if s is not None:
-        return [(RealRoot.rational(v), 1) for v in sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])]
-    mid, half = -b / (2 * a), abs(Fraction(1, 1) / (2 * a))
+        return [(RealRoot.rational(Fraction(-b, 2 * a)), 2)]
+    s = math.isqrt(disc)
+    if s * s == disc:
+        roots = sorted([Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)])
+        return [(RealRoot.rational(v), 1) for v in roots]
+    k = 1  # disc = k^2 * r: divide out the squares of small primes
+    for p in range(2, 64):
+        while disc % (p * p) == 0:
+            disc, k = disc // (p * p), k * p
+    mid, half = Fraction(-b, 2 * a), abs(Fraction(k, 2 * a))
     return [(RealRoot.surd(mid, -half, disc), 1), (RealRoot.surd(mid, half, disc), 1)]
 
 

@@ -20,6 +20,12 @@ def C(value) -> Poly2:
     return Poly2.const(rat(value))
 
 
+def monomial_multiple(p: Poly2, var: str, k: int) -> bool:
+    """Whether var**k divides every term of p."""
+    axis = "xy".index(var)
+    return all(key[axis] >= k for key in p.terms)
+
+
 def params_triple_slice(a1=0, a2=0, b1=1, b2=0, c1=0):
     """Family parameters on the slice d1 = 3*b1 (b1 != 0), c2 = 0,
     d2 = -b2*d1/b1."""

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from discflow.roots import RealRoot, quadratic_roots, real_roots
 
@@ -132,3 +134,26 @@ def test_roots_sharing_a_cell_get_finer_cells():
     assert rational.a == r
     assert _cell(root.lo, root.hi) > 40 and not root.lo <= r <= root.hi
     assert root.lo**2 < 2 < root.hi**2
+
+
+def test_surd_text_does_not_depend_on_the_scale():
+    # x^2 - 1/2 and 2x^2 - 1: the same roots, printed the same way
+    half, whole = real_roots([F(-1, 2), 0, 1]), real_roots([-1, 0, 2])
+    assert [r.to_json() for r, _ in half] == [r.to_json() for r, _ in whole]
+    assert [r.exact_str() for r, _ in half] == ["-1/2*sqrt(2)", "1/2*sqrt(2)"]
+    # squares of small primes leave the radicand: x^2 - 12 = (x - 2 sqrt 3)(x + 2 sqrt 3)
+    assert [r.exact_str() for r, _ in real_roots([-12, 0, 1])] == ["-2*sqrt(3)", "2*sqrt(3)"]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=3),
+    st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50),
+    st.integers(min_value=0, max_value=2),
+)
+def test_roots_are_invariant_under_positive_rescaling(coeffs, scale, shift):
+    coeffs = [F(0)] * shift + coeffs
+    assume(any(coeffs))
+    scaled = [scale * c for c in coeffs]
+    expect = [(r.to_json(), m) for r, m in real_roots(coeffs)]
+    assert [(r.to_json(), m) for r, m in real_roots(scaled)] == expect

@@ -11,21 +11,20 @@ import importlib
 # process loads only the layers it uses: `discflow decide` never loads the orbit
 # engine, the equilibrium scan or the portrait.
 _EXPORTS = {
-    "poly": ("DegreeTooLow", "NotDivisible", "Poly2", "VectorField", "rat"),
+    "poly": ("NotDivisible", "Poly2", "VectorField", "rat"),
     "compactify": ("ChartField", "ChartId", "InfinityReport", "chart_field", "infinite_equilibria",
                    "rescale_infinity_line"),
     "desing": ("BlowupChain", "BlowupStep", "ChainTooDeep", "CharacteristicPoly", "NotEquilibrium",
                "ZeroAlpha", "characteristic_directions", "choose_shear_beta", "run_chain", "shear",
                "time_rescale", "translate", "twist", "vertical_blowup"),
-    "classify": ("EquilibriumClass", "NotSemiHyperbolic", "PointType", "Spectrum",
-                 "classify_from_jacobian", "classify_point", "refine_semihyperbolic", "spectrum_of"),
+    "classify": ("EquilibriumClass", "NotSemiHyperbolic", "PointType", "classify_from_jacobian",
+                 "classify_point", "refine_semihyperbolic"),
     "family": ("CenterReport", "FamilyParams", "GlobalReport", "HypothesesViolated", "NotConserved",
                "build_system", "center_cases", "conserved_quantity", "from_complex", "global_cases",
                "hamiltonian", "normal_form"),
     "equilibria": ("finite_equilibria",),
     "flow": ("GlobalVerdict", "IntegratorConfig", "OrbitVerdict", "StepUnderflow",
-             "first_integral_check", "global_center_verdict", "integrate", "orbit_verdict",
-             "return_map_verdict"),
+             "first_integral_check", "global_center_verdict", "integrate", "orbit_verdict"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

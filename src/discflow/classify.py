@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .desing import linear_change, translate
 from .poly import Poly2, VectorField, X, Y
-from .roots import RealRoot, quadratic_roots
 
 CENTER_MANIFOLD_ORDER = 6
 
@@ -49,41 +48,9 @@ class EquilibriumClass:
         return self.kind.value if self.stability is None else f"{self.stability} {self.kind.value}"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue data of a rational 2x2 matrix; exact whenever real."""
-
-    trace: Fraction
-    det: Fraction
-    is_real: bool
-    lambda1: RealRoot | None
-    lambda2: RealRoot | None
-
-    def to_json(self) -> dict:
-        if self.is_real:
-            eigen = [self.lambda1.to_json(), self.lambda2.to_json()]
-        else:
-            re = self.trace / 2
-            im2 = self.det - re * re
-            eigen = [f"{re} +/- i*sqrt({im2})"]
-        return {"trace": str(self.trace), "det": str(self.det), "eigenvalues": eigen}
-
-
 def _trace_det(jac) -> tuple[Fraction, Fraction]:
     (a, b), (c, d) = jac
     return Fraction(a) + Fraction(d), Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
-
-
-def spectrum_of(jac) -> Spectrum:
-    trace, det = _trace_det(jac)
-    disc = trace * trace - 4 * det
-    if disc < 0:
-        return Spectrum(trace, det, False, None, None)
-    roots = quadratic_roots(1, -trace, det)
-    if len(roots) == 1:  # double eigenvalue
-        lam = roots[0][0]
-        return Spectrum(trace, det, True, lam, lam)
-    return Spectrum(trace, det, True, roots[0][0], roots[1][0])
 
 
 def classify_from_jacobian(jac) -> EquilibriumClass:

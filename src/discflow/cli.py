@@ -39,7 +39,7 @@ def _load_params(path: str) -> FamilyParams:
         return FamilyParams.from_json(text)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise CliError(f"bad parameter file {path}: {exc}") from exc
 
 
@@ -159,13 +159,19 @@ def cmd_blowup(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _global_verdict(args):
+    """The parameters, the config and the global-center verdict of `verify` or `portrait`."""
     from .flow import global_center_verdict
 
-    params = _load_params(args.params)
-    cfg = _config_from_args(args)
-    radii = _radii_from_args(args)
-    verdict = global_center_verdict(params, cfg, sample_radii=radii)
+    params, cfg = _load_params(args.params), _config_from_args(args)
+    try:
+        return params, cfg, global_center_verdict(params, cfg, sample_radii=_radii_from_args(args))
+    except OverflowError as exc:
+        raise CliError(f"parameters beyond float range: {exc}") from exc
+
+
+def cmd_verify(args) -> int:
+    params, cfg, verdict = _global_verdict(args)
     _emit({"params": params.to_json(), "config": vars(cfg) | {}, **verdict.to_json()}, args.out)
     if verdict.tag == "global-center-consistent":
         return EXIT_GLOBAL
@@ -175,17 +181,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    from .flow import global_center_verdict
     from .portrait import PortraitSpec, render_portrait
 
-    params = _load_params(args.params)
-    cfg = _config_from_args(args)
-    radii = _radii_from_args(args)
     try:
         spec = PortraitSpec(width=args.width, height=args.height)
     except ValueError as exc:
         raise CliError(f"bad portrait size {exc}") from exc
-    verdict = global_center_verdict(params, cfg, sample_radii=radii)
+    params, cfg, verdict = _global_verdict(args)
     svg = render_portrait(build_system(params), verdict, verdict.infinity, spec, cfg)
     _emit(svg, args.out)
     return 0

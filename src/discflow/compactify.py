@@ -66,8 +66,8 @@ class InfinityReport:
 
 
 def _u1_components(vf: VectorField, n: int) -> tuple[Poly2, Poly2]:
-    pd = vf.p.dilate_chart_numerator(n)
-    qd = vf.q.dilate_chart_numerator(n)
+    # p(1/v, u/v) * v**n and likewise q: the (i, j) term becomes u**j * v**(n-i-j)
+    pd, qd = (Poly2({(j, n - i - j): c for (i, j), c in r.terms.items()}) for r in (vf.p, vf.q))
     return qd - X * pd, -(Y * pd)
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .poly import NotDivisible, Poly2, Scalar, VectorField, X, Y, rat
 
 MAX_CHAIN_DEPTH = 8
+SHEAR_CANDIDATES = (1, -1, 2, -2)
 
 
 class NotEquilibrium(ValueError):
@@ -38,10 +39,6 @@ class CharacteristicPoly:
     r: Poly2
     order: int
     vertical_is_characteristic: bool
-
-    @property
-    def all_directions(self) -> bool:
-        return self.r.is_zero
 
 
 def characteristic_directions(vf: VectorField) -> CharacteristicPoly:
@@ -118,15 +115,15 @@ def time_rescale(vf: VectorField, var: str, k: int) -> VectorField:
     return vf.divide_monomial(var, k)
 
 
-def choose_shear_beta(vf: VectorField, candidates=(1, -1, 2, -2)) -> Fraction:
-    """First shear parameter that frees the vertical direction.
+def choose_shear_beta(vf: VectorField) -> Fraction:
+    """First shear parameter in SHEAR_CANDIDATES that frees the vertical direction.
 
     Deterministic search order; raises if none of the candidates works
     (which in particular happens when every direction is characteristic).
     Only the first-coordinate shear can move the vertical direction: the
     second-coordinate twist maps the direction (0, 1) to itself.
     """
-    for beta in candidates:
+    for beta in SHEAR_CANDIDATES:
         sheared = shear(vf, beta)
         if not characteristic_directions(sheared).vertical_is_characteristic:
             return rat(beta)

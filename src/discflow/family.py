@@ -55,7 +55,9 @@ class FamilyParams:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("parameter file must contain a JSON object")
-        return cls.make(**{k: _parse_rational(v) for k, v in data.items()})
+        params = cls.make(**{k: _parse_rational(v) for k, v in data.items()})
+        params.to_json()  # raises ValueError on a value with more digits than str() prints
+        return params
 
     def to_json(self) -> dict:
         return {name: str(getattr(self, name)) for name in PARAM_NAMES}

@@ -11,7 +11,7 @@ steps where y may change sign, and only there (and at an exit, or in a
 drawing) is the dense output evaluated; sign changes are bisected to 1e-12 on
 it, so section crossings arrive in time order.  Escape
 is an outward crossing of the escape radius, where the stream ends.  One
-reader, `_read_orbit`, turns that stream into every `OrbitVerdict`,
+reader, `orbit_verdict`, turns that stream into every `OrbitVerdict`,
 evaluating the field only through its compiled form, and each verdict
 carries its record, which the portrait draws.
 The exact scan for other finite equilibria is in `equilibria`, the exact first
@@ -81,6 +81,8 @@ class Trajectory:
 
     def sample(self, n: int, t_end: float | None = None) -> list[tuple[float, float, float]]:
         """n evenly spaced (t, x, y) over [0, t_end], by default the whole record."""
+        if not self.steps:
+            return []
         t_end = self.t_end if t_end is None else t_end
         steps, last, i, step, out = self.steps, len(self.steps) - _STRIDE, 0, None, []
         for k in range(n):
@@ -349,19 +351,22 @@ def _section_direction(f, x: float) -> int:
     return (q0 > 0.0) - (q0 < 0.0)
 
 
-def _read_orbit(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig) -> OrbitVerdict:
-    """The verdict read off one integration from x0, carrying its record.
+def orbit_verdict(
+    vf: VectorField, point: tuple[float, float], cfg: IntegratorConfig | None = None
+) -> OrbitVerdict:
+    """The verdict read off one integration from point, carrying its record.
 
     A start on the section {y = 0, x > 0} is armed there at t = 0: the
     orientation of its crossing is fixed, and the verdict is read at the first
-    later crossing with that orientation.  Any other start is carried to its
+    later crossing with that orientation: periodic within section_closure_tol,
+    else inconclusive, never coerced.  Any other start is carried to its
     first hit of the section and armed there, and the return map reads on in
     the same integration.  Each phase gets its own max_time, counted from
     where it starts, and an exit time is counted from there too.  A start
     that is an equilibrium or a tangency is judged before any integration.
     """
-    f, traj = _compile(vf), Trajectory()
-    x, y = float(x0[0]), float(x0[1])
+    cfg, f, traj = cfg or IntegratorConfig(), _compile(vf), Trajectory()
+    x, y = float(point[0]), float(point[1])
     t_from, x_from, deadline, direction = 0.0, x, cfg.max_time, None
     if y == 0.0 and x > 0.0:
         direction = _section_direction(f, x)
@@ -413,31 +418,6 @@ def integrate(
             traj.t_end, traj.escaped = t_final, False
             break
     return traj
-
-
-def return_map_verdict(
-    vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig | None = None
-) -> OrbitVerdict:
-    """Decide periodicity through the section {y = 0, x > 0}.
-
-    Periodic only when the first same-orientation return lands within
-    section_closure_tol of the start; a displaced return is reported as
-    inconclusive (the orbit is spiralling), never coerced.
-    """
-    if float(x0[1]) != 0.0 or float(x0[0]) <= 0.0:
-        raise ValueError("start must lie on the section {y = 0, x > 0}")
-    return _read_orbit(vf, x0, cfg or IntegratorConfig())
-
-
-def orbit_verdict(
-    vf: VectorField, point: tuple[float, float], cfg: IntegratorConfig | None = None
-) -> OrbitVerdict:
-    """Verdict for an arbitrary initial condition.
-
-    Off-section points are carried forward to their first transversal hit of
-    {y = 0, x > 0}, and the same integration goes on into the return map.
-    """
-    return _read_orbit(vf, point, cfg or IntegratorConfig())
 
 
 # -- first integrals ---------------------------------------------------------
@@ -508,6 +488,7 @@ def global_center_verdict(
     if not center_cases(params).is_center:
         warnings.warn("parameters do not satisfy any center condition", stacklevel=2)
     vf = build_system(params)
+    _compile(vf)  # a coefficient beyond float range raises OverflowError before the scans
     infinity = infinite_equilibria(vf)
     extra = tuple(finite_equilibria(vf, math.inf))
     samples = [(pt, orbit_verdict(vf, pt, cfg)) for pt in sample_points(radii, angles)]

@@ -20,10 +20,6 @@ class NotDivisible(ArithmeticError):
     """An exact division left a nonzero remainder."""
 
 
-class DegreeTooLow(ValueError):
-    """A chart dilation was requested with n below the polynomial degree."""
-
-
 def rat(value: Scalar) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -211,16 +207,6 @@ class Poly2:
                 raise NotDivisible(f"term x^{i}*y^{j} is not divisible by var^{k}")
             out[(i - k, j) if axis == 0 else (i, j - k)] = c
         return Poly2(out)
-
-    def dilate_chart_numerator(self, n: int) -> "Poly2":
-        """Clear denominators of self(1/v, u/v) by v**n; result in (u, v).
-
-        The (i, j) term of self contributes u**j * v**(n-i-j), so n must be at
-        least the total degree.
-        """
-        if n < self.degree:
-            raise DegreeTooLow(f"n={n} is below degree {self.degree}")
-        return Poly2({(j, n - i - j): c for (i, j), c in self.terms.items()})
 
     # -- evaluation ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ from discflow.flow import (
     first_integral_check,
     global_center_verdict,
     integrate,
-    return_map_verdict,
+    orbit_verdict,
 )
 
 from reference_systems import (
@@ -312,7 +312,7 @@ def test_criterion_6_conservation():
         vf = build_system(params)
         h = conserved_quantity(tag, params)
         for x0 in (0.5, 1.0, 2.0):
-            returned = return_map_verdict(vf, (x0, 0.0), cfg)
+            returned = orbit_verdict(vf, (x0, 0.0), cfg)
             assert returned.tag == "periodic"
             traj = integrate(vf, (x0, 0.0), cfg, t_final=returned.period)
             drift = first_integral_check(vf, h, traj)

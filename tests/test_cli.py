@@ -299,6 +299,10 @@ def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
 
 BAD_INPUTS = {
     "zero-denominator-param": ("decide", "--params", "{zero_param}"),
+    "deeply-nested-param-file": ("decide", "--params", "{deep_param}"),
+    "unprintable-param": ("compactify", "--params", "{unprintable_param}"),
+    "param-beyond-float-verify": ("verify", "--params", "{float_param}"),
+    "param-beyond-float-portrait": ("portrait", "--params", "{float_param}"),
     "zero-denominator-radius": ("verify", "--params", "{params}", "--radii", "1/0"),
     "overflowing-radius": ("verify", "--params", "{params}", "--radii", "1e400"),
     "unwritable-out": ("decide", "--params", "{params}", "--out", "{missing_dir}/x.json"),
@@ -316,13 +320,28 @@ BAD_INPUTS = {
 }
 
 
+def test_exact_commands_accept_a_param_beyond_float_range(tmp_path, capsys):
+    # verify and portrait refuse b1 = 1e400 (see BAD_INPUTS); the exact commands keep it
+    params = write_params(tmp_path, b1="1e400")
+    assert main(["decide", "--params", params]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["params"]["b1"] == str(10**400) and out["verdict"] == "center-not-global"
+    assert main(["compactify", "--params", params]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["params"]["b1"] == str(10**400) and out["chart_field"]["n_used"] == 3
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_three_without_traceback(tmp_path, case):
     paths = {
         "params": write_params(tmp_path, b1="-1", c1="4", d1="-3"),
         "zero_param": write_params(tmp_path, "zero.json", a1="1/0"),
+        "deep_param": str(tmp_path / "deep.json"),
+        "unprintable_param": write_params(tmp_path, "huge.json", b1="1e5000"),
+        "float_param": write_params(tmp_path, "float.json", b1="1e400"),
         "missing_dir": str(tmp_path / "missing"),
     }
+    (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
     args = [arg.format(**paths) for arg in BAD_INPUTS[case]]
     cmd = [sys.executable, "-m", "discflow.cli", *args]
     run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=120)

@@ -54,6 +54,17 @@ class TestChartField:
         assert u1.field == u1_chart_triple_slice(a1, a2, b1, b2, c1)
         assert u2.field == u2_chart_triple_slice(a1, a2, b1, b2, c1)
 
+    def test_dilate_chart_numerator(self):
+        # U1 is (qd - u*pd, -v*pd), pd and qd the dilations p(1/v, u/v)*v^n, q(...)*v^n
+        b1 = F(2, 3)
+        cf = chart_field(VectorField(Y, -X + 4 * b1 * X**3), ChartId.U1)
+        pd, qd = X * Y**2, -(Y**2) + Poly2.const(4 * b1)  # y and -x + 4*b1*x^3 at n = 3
+        assert cf.n_used == 3
+        assert cf.field == VectorField(qd - X * pd, -(Y * pd))
+        cf = chart_field(VectorField(Poly2.const(1), Poly2.zero()), ChartId.U1)
+        assert cf.n_used == 0
+        assert cf.field == VectorField(-X, -Y)  # pd = 1 at n = 0
+
     def test_u3_is_identity(self):
         vf = build_system(params_triple_slice(b1=1, c1=-4))
         assert chart_field(vf, ChartId.U3).field == vf

@@ -54,13 +54,12 @@ class TestCharacteristicDirections:
         assert cp.r == Y * (Y**2 - c1 * X**2)
         assert cp.order == 2
         assert not cp.vertical_is_characteristic
-        assert not cp.all_directions
+        assert not cp.r.is_zero
 
     def test_all_directions_characteristic(self):
         vf = u2_mixed_translated(1)
         cp = characteristic_directions(vf)
         assert cp.r.is_zero
-        assert cp.all_directions
         assert cp.vertical_is_characteristic
 
     def test_vertical_characteristic(self):
@@ -73,7 +72,7 @@ class TestCharacteristicDirections:
         cp = characteristic_directions(vf)
         assert cp.r == 5 * a1 * X * Y**2
         assert cp.vertical_is_characteristic
-        assert not cp.all_directions
+        assert not cp.r.is_zero
 
     def test_growth_slice_r(self):
         # c1 = 0 slice of the sum family: r = v*((d1-3*b1)*u^2 + 2*a1*u*v + v^2)

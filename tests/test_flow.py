@@ -28,7 +28,6 @@ from discflow.flow import (
     global_center_verdict,
     integrate,
     orbit_verdict,
-    return_map_verdict,
     sample_points,
 )
 from discflow.poly import Poly2, VectorField, X, Y
@@ -98,7 +97,7 @@ class TestIntegrate:
         params = FamilyParams.make(b1=-1, d1=-3)
         vf = build_system(params)
         h = conserved_quantity("aa2", params)
-        v = return_map_verdict(vf, (1.0, 0.0), CFG)
+        v = orbit_verdict(vf, (1.0, 0.0), CFG)
         traj = integrate(vf, (1.0, 0.0), CFG, t_final=v.period)
         assert first_integral_check(vf, h, traj) < 1e-8
 
@@ -246,7 +245,7 @@ class TestRecord:
 
 class TestReturnMap:
     def test_linear_center_period(self):
-        v = return_map_verdict(LINEAR, (1.0, 0.0), CFG)
+        v = orbit_verdict(LINEAR, (1.0, 0.0), CFG)
         assert v.tag == "periodic"
         assert v.period == pytest.approx(2 * math.pi, abs=1e-6)
         assert v.closure_error < 1e-8
@@ -262,7 +261,7 @@ class TestReturnMap:
     def test_quadratic_damped_spiral_inconclusive(self):
         # x' = y, y' = -x - x^2: orbit through (1.2, 0) is not closed
         vf = VectorField(Y, -X - F(1, 5) * Y)
-        v = return_map_verdict(vf, (1.0, 0.0), CFG)
+        v = orbit_verdict(vf, (1.0, 0.0), CFG)
         assert v.tag == "inconclusive"
         assert "displaced" in v.reason
 
@@ -270,35 +269,29 @@ class TestReturnMap:
         # the return comes at t ~ 6.3e5, where adjacent floats lie further
         # apart than the 1e-12 bisection width
         slow = VectorField(F(1, 10**5) * Y, -F(1, 10**5) * X)
-        v = return_map_verdict(slow, (1.0, 0.0), IntegratorConfig(max_time=1e6))
+        v = orbit_verdict(slow, (1.0, 0.0), IntegratorConfig(max_time=1e6))
         assert v.tag == "periodic"
         assert v.period == pytest.approx(2e5 * math.pi, rel=1e-8)
-
-    def test_requires_section_point(self):
-        with pytest.raises(ValueError):
-            return_map_verdict(LINEAR, (0.0, 1.0), CFG)
-        with pytest.raises(ValueError):
-            return_map_verdict(LINEAR, (-1.0, 0.0), CFG)
 
     def test_gentle_cubic_family_periodic(self):
         # d1 = -c1 > 0 slice, small coefficient so orbits stay modest
         params = FamilyParams.make(c1=F(-1, 5), d1=F(1, 5))
         vf = build_system(params)
-        v = return_map_verdict(vf, (2.0, 0.0), CFG)
+        v = orbit_verdict(vf, (2.0, 0.0), CFG)
         assert v.tag == "periodic" and v.closure_error < 1e-6
 
     def test_escaping_from_section(self):
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
         vf = build_system(params)
-        v = return_map_verdict(vf, (1.5, 0.0), CFG)
+        v = orbit_verdict(vf, (1.5, 0.0), CFG)
         assert v.tag == "escaping" and v.exit_time is not None
 
     def test_shrinking_tolerance_never_turns_escaping(self):
         params = FamilyParams.make(b1=1, c1=-4, d1=3)
         vf = build_system(params)
         for x0 in (0.5, 1.0, 2.0):
-            loose = return_map_verdict(vf, (x0, 0.0), CFG)
-            tight = return_map_verdict(
+            loose = orbit_verdict(vf, (x0, 0.0), CFG)
+            tight = orbit_verdict(
                 vf, (x0, 0.0), IntegratorConfig(section_closure_tol=1e-7)
             )
             assert loose.tag == "periodic"
@@ -310,15 +303,18 @@ class TestReturnMap:
         vf = build_system(params)
         cfg = IntegratorConfig(escape_radius=1e8, max_time=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            v = return_map_verdict(vf, (1.0, 0.0), cfg)
+            v = orbit_verdict(vf, (1.0, 0.0), cfg)
         assert v.tag == "inconclusive"
 
     def test_overflowing_start_fails_fast(self):
         # the cubic field overflows at the start, so the initial step size is 0
         vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
-        v = return_map_verdict(vf, (1e200, 0.0), CFG)
+        v = orbit_verdict(vf, (1e200, 0.0), CFG)
         assert v.tag == "inconclusive"
         assert v.reason.startswith("integrator failure")
+        # the record holds no step, so a drawing samples nothing from it
+        assert v.trajectory.accepted == 0
+        assert v.trajectory.sample(5) == []
 
 
 class TestOrbitVerdict:
@@ -350,10 +346,10 @@ class TestOrbitVerdict:
     def test_equilibrium_start_on_the_section(self):
         # b1 = 1, c1 = 2, d1 = 1 has the lines of equilibria x = +/- 1/2
         vf = build_system(FamilyParams.make(b1=1, c1=2, d1=1))
-        for v in (orbit_verdict(vf, (0.5, 0.0), CFG), return_map_verdict(vf, (0.5, 0.0), CFG)):
-            assert v.tag == "inconclusive"
-            assert v.reason == "start is an equilibrium or a section tangency"
-            assert v.trajectory is None
+        v = orbit_verdict(vf, (0.5, 0.0), CFG)
+        assert v.tag == "inconclusive"
+        assert v.reason == "start is an equilibrium or a section tangency"
+        assert v.trajectory is None
 
     @pytest.mark.parametrize("start", [(0.5, 0.3), (-0.5, 0.25)])
     def test_equilibrium_start_off_the_section(self, start):
@@ -600,5 +596,5 @@ class TestTimeReversalCrossCheck:
             )
             crossings = [t for t in sol.t_events[0] if t > 1e-9]
             assert len(crossings) >= 2  # symmetric orbit must close
-            verdict = return_map_verdict(vf, (x0, 0.0), CFG)
+            verdict = orbit_verdict(vf, (x0, 0.0), CFG)
             assert verdict.tag == "periodic"

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from discflow.poly import DegreeTooLow, NotDivisible, Poly2, VectorField, X, Y
+from discflow.poly import NotDivisible, Poly2, VectorField, X, Y
 
 
 def test_zero_degree_sentinel():
@@ -60,17 +60,6 @@ def test_divide_monomial():
     assert q.divide_monomial("x", 2) == X * Y + Y**2
     with pytest.raises(NotDivisible):
         (X + Y).divide_monomial("x", 1)
-
-
-def test_dilate_chart_numerator():
-    # y with n=3 -> u*v^2
-    assert Y.dilate_chart_numerator(3) == X * Y**2
-    b1 = F(2, 3)
-    p = -X + 4 * b1 * X**3
-    assert p.dilate_chart_numerator(3) == -(Y**2) + Poly2.const(4 * b1)
-    assert Poly2.const(1).dilate_chart_numerator(0) == Poly2.const(1)
-    with pytest.raises(DegreeTooLow):
-        (X**2).dilate_chart_numerator(1)
 
 
 def test_canonical_text():

@@ -14,14 +14,14 @@ _EXPORTS = {
     "poly": ("NotDivisible", "Poly2", "VectorField", "rat"),
     "compactify": ("ChartField", "ChartId", "InfinityReport", "chart_field", "infinite_equilibria",
                    "rescale_infinity_line"),
-    "desing": ("BlowupChain", "BlowupStep", "ChainTooDeep", "CharacteristicPoly", "NotEquilibrium",
-               "ZeroAlpha", "characteristic_directions", "choose_shear_beta", "run_chain", "shear",
-               "time_rescale", "translate", "twist", "vertical_blowup"),
-    "classify": ("EquilibriumClass", "NotSemiHyperbolic", "PointType", "classify_from_jacobian",
-                 "classify_point", "refine_semihyperbolic"),
-    "family": ("CenterReport", "FamilyParams", "GlobalReport", "HypothesesViolated", "NotConserved",
-               "build_system", "center_cases", "conserved_quantity", "from_complex", "global_cases",
-               "hamiltonian", "normal_form"),
+    "desing": ("BlowupChain", "BlowupStep", "CharacteristicPoly", "characteristic_directions",
+               "choose_shear_beta", "run_chain", "shear", "time_rescale", "translate", "twist",
+               "vertical_blowup"),
+    "classify": ("EquilibriumClass", "PointType", "classify_from_jacobian", "classify_point",
+                 "refine_semihyperbolic"),
+    "family": ("CenterReport", "FamilyParams", "GlobalReport", "NotConserved", "build_system",
+               "center_cases", "conserved_quantity", "from_complex", "global_cases", "hamiltonian",
+               "normal_form"),
     "equilibria": ("finite_equilibria",),
     "flow": ("GlobalVerdict", "IntegratorConfig", "OrbitVerdict", "StepUnderflow",
              "first_integral_check", "global_center_verdict", "integrate", "orbit_verdict"),

@@ -18,10 +18,6 @@ from .poly import Poly2, VectorField, X, Y
 CENTER_MANIFOLD_ORDER = 6
 
 
-class NotSemiHyperbolic(ValueError):
-    """The Jacobian does not have exactly one zero eigenvalue."""
-
-
 class PointType(str, Enum):
     HYPERBOLIC_SADDLE = "hyperbolic-saddle"
     HYPERBOLIC_NODE = "hyperbolic-node"
@@ -43,9 +39,6 @@ class EquilibriumClass:
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "stability": self.stability}
-
-    def __str__(self) -> str:
-        return self.kind.value if self.stability is None else f"{self.stability} {self.kind.value}"
 
 
 def _trace_det(jac) -> tuple[Fraction, Fraction]:
@@ -77,12 +70,11 @@ def classify_from_jacobian(jac) -> EquilibriumClass:
 
 
 def _kernel_vector(jac) -> tuple[Fraction, Fraction]:
+    """A kernel vector of a singular, nonzero 2x2 matrix."""
     (a, b), (c, d) = jac
     if a != 0 or b != 0:
         return Fraction(b), -Fraction(a)
-    if c != 0 or d != 0:
-        return Fraction(d), -Fraction(c)
-    raise ValueError("zero matrix has no distinguished kernel vector")
+    return Fraction(d), -Fraction(c)
 
 
 def _solve_fast_equation(lam: Fraction, a_part: Poly2) -> Poly2:
@@ -109,11 +101,11 @@ def refine_semihyperbolic(vf: VectorField, point: tuple) -> EquilibriumClass:
     """
     local = translate(vf, point[0], point[1])
     if not local.is_equilibrium((0, 0)):
-        raise NotSemiHyperbolic("given point is not an equilibrium")
+        raise ValueError("given point is not an equilibrium")
     jac = local.jacobian((0, 0))
     trace, det = _trace_det(jac)
     if det != 0 or trace == 0:
-        raise NotSemiHyperbolic("Jacobian must have exactly one zero eigenvalue")
+        raise ValueError("Jacobian must have exactly one zero eigenvalue")
     lam = trace
     identity_shift = [[jac[0][0] - lam, jac[0][1]], [jac[1][0], jac[1][1] - lam]]
     fast = _kernel_vector(identity_shift)

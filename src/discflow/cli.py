@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .family import FamilyParams, build_system, center_cases, global_cases
 from .poly import NotDivisible, rat
@@ -27,9 +28,7 @@ EXIT_BAD_INPUT = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad input: main prints one `error:` line and exits EXIT_BAD_INPUT."""
 
 
 def _load_params(path: str) -> FamilyParams:
@@ -141,7 +140,7 @@ def cmd_compactify(args) -> int:
 
 def cmd_blowup(args) -> int:
     from .compactify import chart_field
-    from .desing import ChainTooDeep, run_chain
+    from .desing import run_chain
 
     params = _load_params(args.params)
     vf = build_system(params)
@@ -150,7 +149,7 @@ def cmd_blowup(args) -> int:
     steps = _parse_steps(args.steps)
     try:
         chain = run_chain(cf.field, steps)
-    except (NotDivisible, ValueError, ChainTooDeep) as exc:
+    except (NotDivisible, ValueError) as exc:
         raise CliError(f"chain failed: {exc}") from exc
     payload = chain.to_json(("u", "v"))
     payload["chart"] = chart.value
@@ -165,9 +164,14 @@ def _global_verdict(args):
 
     params, cfg = _load_params(args.params), _config_from_args(args)
     try:
-        return params, cfg, global_center_verdict(params, cfg, sample_radii=_radii_from_args(args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verdict = global_center_verdict(params, cfg, sample_radii=_radii_from_args(args))
     except OverflowError as exc:
         raise CliError(f"parameters beyond float range: {exc}") from exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return params, cfg, verdict
 
 
 def cmd_verify(args) -> int:
@@ -204,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", required=True, help="JSON file with a1..d2 as 'p/q' strings")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if chart:
-            p.add_argument("--chart", default="u1", help="local chart (u1 or u2)")
+            p.add_argument("--chart", default="u1", help="local chart: u1, u2, u3, v1 or v2")
         if steps:
             p.add_argument(
                 "--steps",
@@ -249,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

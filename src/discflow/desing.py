@@ -16,18 +16,6 @@ MAX_CHAIN_DEPTH = 8
 SHEAR_CANDIDATES = (1, -1, 2, -2)
 
 
-class NotEquilibrium(ValueError):
-    """The origin is not an equilibrium of the given field."""
-
-
-class ZeroAlpha(ValueError):
-    """A twist or shear needs a nonzero parameter."""
-
-
-class ChainTooDeep(RuntimeError):
-    """A blow-up chain exceeded the safety depth limit."""
-
-
 @dataclass(frozen=True)
 class CharacteristicPoly:
     """The direction form y*p_n - x*q_n of the lowest-order parts, n = order.
@@ -42,10 +30,10 @@ class CharacteristicPoly:
 
 
 def characteristic_directions(vf: VectorField) -> CharacteristicPoly:
-    """`vf.direction_form` at the field's lowest order; raises NotEquilibrium
+    """`vf.direction_form` at the field's lowest order; raises ValueError
     if the field does not vanish at the origin."""
     if not vf.is_equilibrium((0, 0)):
-        raise NotEquilibrium("field does not vanish at the origin")
+        raise ValueError("field does not vanish at the origin")
     n = vf.lowest_order
     r = vf.direction_form(n)
     vertical = r.evaluate(0, 1) == 0
@@ -71,7 +59,7 @@ def twist(vf: VectorField, alpha: Scalar) -> VectorField:
     """Shear the second coordinate: (x, y) = (u, u + alpha*v), alpha != 0."""
     alpha = rat(alpha)
     if alpha == 0:
-        raise ZeroAlpha("twist parameter must be nonzero")
+        raise ValueError("twist parameter must be nonzero")
     return linear_change(vf, (1, 0, 1, alpha))
 
 
@@ -83,7 +71,7 @@ def shear(vf: VectorField, beta: Scalar) -> VectorField:
     """
     beta = rat(beta)
     if beta == 0:
-        raise ZeroAlpha("shear parameter must be nonzero")
+        raise ValueError("shear parameter must be nonzero")
     return linear_change(vf, (1, beta, 0, 1))
 
 
@@ -192,7 +180,7 @@ def apply_step(vf: VectorField, spec: tuple) -> BlowupStep:
 def run_chain(vf: VectorField, specs: list[tuple]) -> BlowupChain:
     """Apply a list of step specs, recording every intermediate field."""
     if len(specs) > MAX_CHAIN_DEPTH:
-        raise ChainTooDeep(f"chain depth {len(specs)} exceeds {MAX_CHAIN_DEPTH}")
+        raise ValueError(f"chain depth {len(specs)} exceeds {MAX_CHAIN_DEPTH}")
     steps: list[BlowupStep] = []
     current = vf
     for spec in specs:

@@ -173,8 +173,6 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     radius may be math.inf.
     """
     p, q = vf.p, vf.q
-    if p.is_zero or q.is_zero:
-        return _curve_points(q if p.is_zero else p, radius)
     found: list[tuple[float, float]] = []
     rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if not any(rx) or not any(ry):  # a common factor of positive degree in x or in y

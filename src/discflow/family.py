@@ -16,16 +16,13 @@ oracles return every matching condition set, since the sets genuinely overlap
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly2, Scalar, VectorField, rat
 
 PARAM_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
-
-
-class HypothesesViolated(ValueError):
-    """Parameters do not satisfy a normal form's reduction hypotheses."""
 
 
 class NotConserved(ValueError):
@@ -52,12 +49,10 @@ class FamilyParams:
 
     @classmethod
     def from_json(cls, text: str) -> "FamilyParams":
-        data = json.loads(text)
+        data = json.loads(text, parse_int=str)  # past the digit limit, an int is refused by name
         if not isinstance(data, dict):
             raise ValueError("parameter file must contain a JSON object")
-        params = cls.make(**{k: _parse_rational(v) for k, v in data.items()})
-        params.to_json()  # raises ValueError on a value with more digits than str() prints
-        return params
+        return cls.make(**{k: _parse_rational(k, v) for k, v in data.items()})
 
     def to_json(self) -> dict:
         return {name: str(getattr(self, name)) for name in PARAM_NAMES}
@@ -69,12 +64,19 @@ class FamilyParams:
         return all(v == 0 for v in self.as_tuple())
 
 
-def _parse_rational(value) -> Fraction:
+def _parse_rational(name: str, value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"parameter value {value!r} is not a rational")
-    if isinstance(value, (int, str)):
-        return rat(value)
-    raise ValueError(f"parameter value {value!r} is not an exact rational")
+    if not isinstance(value, str):
+        raise ValueError(f"parameter value {value!r} is not an exact rational")
+    try:
+        r = rat(value)
+        str(r)  # a value such as 1e5000 parses, but has more digits than str() prints
+    except ValueError as exc:  # Python's int/str digit limit, or a malformed value
+        if "Exceeds the limit" not in str(exc):
+            raise
+        raise ValueError(f"{name} has more than {sys.get_int_max_str_digits()} digits") from None
+    return r
 
 
 def from_complex(a3: tuple, a4: tuple, a5: tuple, a6: tuple) -> FamilyParams:
@@ -226,7 +228,7 @@ def normal_form(tag: str, params: FamilyParams) -> VectorField:
         raise ValueError(f"unknown normal form tag {tag!r}")
     hypotheses, holds = _NORMAL_FORMS[tag]
     if not holds(params):
-        raise HypothesesViolated(f"normal form {tag} requires {hypotheses}")
+        raise ValueError(f"normal form {tag} requires {hypotheses}")
     return build_system(params)
 
 

@@ -34,7 +34,6 @@ from .poly import Poly2, VectorField
 _T_GUARD = 1e-9
 _SUBDIV = 6
 _SCAN_OFFSETS = tuple(k / _SUBDIV for k in range(1, _SUBDIV + 1))
-_TANGENCY = "start is an equilibrium or a section tangency"
 _DRIFT_SAMPLES = 2001  # times at which first_integral_check reads a first integral
 
 
@@ -151,10 +150,10 @@ def _compile(vf: VectorField):
 _STRIDE = 18  # floats per recorded step
 
 
-def _bisect_time(g, a: float, b: float, width: float = 1e-12) -> float:
-    """A zero of the scalar g(t) between a and b, where g changes sign."""
+def _bisect_time(g, a: float, b: float) -> float:
+    """A zero of the scalar g(t) between a and b, where g changes sign, to 1e-12."""
     ga = g(a)
-    while b - a > width:
+    while b - a > 1e-12:
         mid = 0.5 * (a + b)
         if mid in (a, b):  # no float left between a and b
             break
@@ -345,12 +344,6 @@ def _section_crossings(t1: float, step):
         ta, ya = tb, yb
 
 
-def _section_direction(f, x: float) -> int:
-    """+1 or -1 as the compiled field f crosses y = 0 up or down at (x, 0); 0 if tangent."""
-    q0 = f(complex(x, 0.0)).imag
-    return (q0 > 0.0) - (q0 < 0.0)
-
-
 def orbit_verdict(
     vf: VectorField, point: tuple[float, float], cfg: IntegratorConfig | None = None
 ) -> OrbitVerdict:
@@ -369,9 +362,10 @@ def orbit_verdict(
     x, y = float(point[0]), float(point[1])
     t_from, x_from, deadline, direction = 0.0, x, cfg.max_time, None
     if y == 0.0 and x > 0.0:
-        direction = _section_direction(f, x)
+        q0 = f(complex(x, 0.0)).imag  # the crossing's orientation: +1 up, -1 down, 0 tangent
+        direction = (q0 > 0.0) - (q0 < 0.0)
         if not direction:
-            return OrbitVerdict.inconclusive(_TANGENCY)
+            return OrbitVerdict.inconclusive("start is an equilibrium or a section tangency")
     else:
         w = f(complex(x, y))
         if abs(w.real) + abs(w.imag) == 0.0:
@@ -388,10 +382,7 @@ def orbit_verdict(
                         return OrbitVerdict.periodic(tc - t_from, abs(xc - x_from), traj)
                     reason = f"section return displaced by {xc - x_from:+.3e}"
                     return OrbitVerdict.inconclusive(reason, traj)
-                direction = _section_direction(f, xc)
-                if not direction:
-                    return OrbitVerdict.inconclusive(_TANGENCY, traj)
-                t_from, x_from, deadline = tc, xc, tc + cfg.max_time
+                direction, t_from, x_from, deadline = d, tc, xc, tc + cfg.max_time
             if t1 > deadline:
                 if direction is None:
                     reason = "orbit never reaches the section {y = 0, x > 0}"

@@ -95,11 +95,7 @@ class Poly2:
         return self.terms.get((i, j), Fraction(0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly2):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly2.const(other)
-        return NotImplemented
+        return isinstance(other, Poly2) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))

@@ -4,7 +4,6 @@ import pytest
 
 from discflow.classify import (
     EquilibriumClass,
-    NotSemiHyperbolic,
     PointType,
     _trace_det,
     classify_from_jacobian,
@@ -241,15 +240,15 @@ class TestPaperAssertedClassifications:
 class TestRefinement:
     def test_requires_one_zero_eigenvalue(self):
         vf = VectorField(Y, -X)
-        with pytest.raises(NotSemiHyperbolic):
+        with pytest.raises(ValueError, match="^Jacobian must have exactly one zero eigenvalue"):
             refine_semihyperbolic(vf, (0, 0))
         vf2 = VectorField(X * Y, Y**2)  # zero Jacobian at origin
-        with pytest.raises(NotSemiHyperbolic):
+        with pytest.raises(ValueError, match="^Jacobian must have exactly one zero eigenvalue"):
             refine_semihyperbolic(vf2, (0, 0))
 
     def test_requires_equilibrium(self):
         vf = VectorField(Y + 1, -X)
-        with pytest.raises(NotSemiHyperbolic):
+        with pytest.raises(ValueError, match="^given point is not an equilibrium"):
             refine_semihyperbolic(vf, (0, 0))
 
     def test_center_manifold_with_nonzero_graph(self):

@@ -297,6 +297,30 @@ def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
     assert json.loads(run.stdout)["tag"] == "not-global"
 
 
+@pytest.mark.parametrize("command, code", [("verify", 2), ("portrait", 0)])
+def test_no_center_warning_is_one_stderr_line(tmp_path, command, code):
+    params = write_params(tmp_path, c2="1")
+    cmd = [sys.executable, "-m", "discflow.cli", command, "--params", params, "--radii", "1"]
+    run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert run.stderr == "warning: parameters do not satisfy any center condition\n"
+    assert run.stdout
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"b1": "1e5000"}', '{"b1": "1%s"}' % ("0" * 5000), '{"b1": 1%s}' % ("0" * 5000)],
+    ids=["exponent", "digit-string", "integer"],
+)
+def test_digit_limit_names_the_parameter(tmp_path, capsys, text):
+    (tmp_path / "huge.json").write_text(text)
+    assert main(["decide", "--params", str(tmp_path / "huge.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "b1 has more than" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
 BAD_INPUTS = {
     "zero-denominator-param": ("decide", "--params", "{zero_param}"),
     "deeply-nested-param-file": ("decide", "--params", "{deep_param}"),

@@ -4,9 +4,6 @@ import pytest
 
 from discflow.compactify import ChartId, chart_field
 from discflow.desing import (
-    ChainTooDeep,
-    NotEquilibrium,
-    ZeroAlpha,
     apply_step,
     characteristic_directions,
     choose_shear_beta,
@@ -84,7 +81,7 @@ class TestCharacteristicDirections:
         assert not cp.vertical_is_characteristic
 
     def test_not_equilibrium(self):
-        with pytest.raises(NotEquilibrium):
+        with pytest.raises(ValueError, match="^field does not vanish at the origin"):
             characteristic_directions(VectorField(Poly2.const(1), Poly2.zero()))
 
     def test_direction_form_homogeneous(self):
@@ -102,11 +99,11 @@ class TestCharacteristicDirections:
 
 class TestBasicTransforms:
     def test_twist_zero_alpha(self):
-        with pytest.raises(ZeroAlpha):
+        with pytest.raises(ValueError, match="^twist parameter must be nonzero"):
             twist(VectorField(Y, -X), 0)
 
     def test_shear_zero(self):
-        with pytest.raises(ZeroAlpha):
+        with pytest.raises(ValueError, match="^shear parameter must be nonzero"):
             shear(VectorField(Y, -X), 0)
 
     def test_twist_blowdown_roundtrip(self):
@@ -282,7 +279,7 @@ class TestChainMechanics:
 
     def test_depth_limit(self):
         vf = VectorField(Y, -X)
-        with pytest.raises(ChainTooDeep):
+        with pytest.raises(ValueError, match="^chain depth 9 exceeds 8"):
             run_chain(vf, [("twist", 1)] * 9)
 
     def test_unknown_step(self):

@@ -82,6 +82,20 @@ def test_a_curve_missing_every_fixed_probe_is_found():
     assert finite_equilibria(VectorField(g * g * Y, -g * X)) == pts
 
 
+@pytest.mark.parametrize(
+    "vf, want",
+    [
+        (VectorField(Poly2(), X * Y - 1), [(1.0, 1.0)]),
+        (VectorField(X - 1, Poly2()), [(1.0, 0.0)]),
+        (VectorField(X * (X - 2) * (Y - 1), Poly2()), [(0.0, 1.0), (1.0, 1.0), (2.0, 0.0)]),
+    ],
+)
+def test_a_zero_component_is_a_common_factor(vf, want):
+    # both resultants vanish, so the other component's curve is witnessed,
+    # and its points come back sorted like every other result of the scan
+    assert finite_equilibria(vf, math.inf) == want
+
+
 def test_resultant_sign_when_the_degrees_differ():
     # degrees 1 and 3 in y: sympy's sign is (-1)**3 times the Sylvester determinant's
     p, q = 2 * X * Y - 1, Y * Y * Y - X

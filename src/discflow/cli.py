@@ -2,10 +2,13 @@
 
 Reports go to --out (or stdout); errors go to stderr only.  Exit codes for
 `decide`: 0 global center, 1 center but not global, 2 no center, 3 bad
-input.  `verify` mirrors its verdict the same way.  Every command exits 3,
-with one `error:` line and no report, on bad input; for `blowup` that
-includes a chain `desing.run_chain` refuses ("chain failed: ...").  Each
-step in `--steps` takes a fixed number of arguments (see `desing.STEPS`).
+input.  `verify` mirrors its verdict the same way.  `main` is the one
+refusal boundary: a ValueError or ArithmeticError raised while it parses the
+arguments (argparse's own refusals included) or runs the command ends with
+one `error:` line, no report and exit 3; for `blowup` that includes a chain
+`desing.run_chain` refuses ("chain failed: ...").  Any other exception is a
+bug and surfaces as a traceback.  Each step in `--steps` takes a fixed
+number of arguments (see `desing.STEPS`).
 """
 
 from __future__ import annotations
@@ -27,8 +30,11 @@ EXIT_NO_CENTER = 2
 EXIT_BAD_INPUT = 3
 
 
-class CliError(Exception):
-    """Bad input: main prints one `error:` line and exits EXIT_BAD_INPUT."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's own refusals raise ValueError, so `main` reports them like any bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _load_params(path: str) -> FamilyParams:
@@ -37,9 +43,9 @@ def _load_params(path: str) -> FamilyParams:
             text = fh.read()
         return FamilyParams.from_json(text)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise CliError(f"bad parameter file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ValueError(f"bad parameter file {path}: {exc}") from exc
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -49,7 +55,7 @@ def _emit(payload, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError(f"cannot write {out_path}: {exc}") from exc
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -58,17 +64,8 @@ def _parse_steps(raw: str) -> list[tuple]:
     """Split 'name:arg:...' tokens; desing.apply_step checks and converts them."""
     steps = [tuple(token.strip().split(":")) for token in raw.split(",") if token.strip()]
     if not steps:
-        raise CliError("empty step list")
+        raise ValueError("empty step list")
     return steps
-
-
-def _chart_from_flag(raw: str):
-    from .compactify import ChartId
-
-    try:
-        return ChartId(raw.upper())
-    except ValueError as exc:
-        raise CliError(f"unknown chart {raw!r}") from exc
 
 
 def _config_from_args(args):
@@ -79,10 +76,7 @@ def _config_from_args(args):
         kwargs["section_closure_tol"] = args.tol
     if args.max_time is not None:
         kwargs["max_time"] = args.max_time
-    try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return IntegratorConfig(**kwargs)
 
 
 def _radii_from_args(args) -> tuple | None:
@@ -91,9 +85,9 @@ def _radii_from_args(args) -> tuple | None:
     try:
         radii = tuple(float(rat(tok)) for tok in args.radii.split(",") if tok.strip())
     except (ValueError, OverflowError) as exc:
-        raise CliError(f"bad radii list {args.radii!r}: {exc}") from exc
+        raise ValueError(f"bad radii list {args.radii!r}: {exc}") from exc
     if not radii or any(r <= 0 for r in radii):
-        raise CliError(f"bad radii list {args.radii!r}")
+        raise ValueError(f"bad radii list {args.radii!r}")
     return radii
 
 
@@ -124,8 +118,7 @@ def cmd_compactify(args) -> int:
 
     params = _load_params(args.params)
     vf = build_system(params)
-    chart = _chart_from_flag(args.chart)
-    cf = chart_field(vf, chart)
+    cf = chart_field(vf, args.chart.upper())
     report = infinite_equilibria(vf)
     _emit(
         {
@@ -144,15 +137,14 @@ def cmd_blowup(args) -> int:
 
     params = _load_params(args.params)
     vf = build_system(params)
-    chart = _chart_from_flag(args.chart)
-    cf = chart_field(vf, chart)
+    cf = chart_field(vf, args.chart.upper())
     steps = _parse_steps(args.steps)
     try:
         chain = run_chain(cf.field, steps)
     except (NotDivisible, ValueError) as exc:
-        raise CliError(f"chain failed: {exc}") from exc
+        raise ValueError(f"chain failed: {exc}") from exc
     payload = chain.to_json(("u", "v"))
-    payload["chart"] = chart.value
+    payload["chart"] = cf.chart.value
     payload["n_used"] = cf.n_used
     _emit(payload, args.out)
     return 0
@@ -168,7 +160,7 @@ def _global_verdict(args):
             warnings.simplefilter("always")
             verdict = global_center_verdict(params, cfg, sample_radii=_radii_from_args(args))
     except OverflowError as exc:
-        raise CliError(f"parameters beyond float range: {exc}") from exc
+        raise ValueError(f"parameters beyond float range: {exc}") from exc
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return params, cfg, verdict
@@ -187,10 +179,7 @@ def cmd_verify(args) -> int:
 def cmd_portrait(args) -> int:
     from .portrait import PortraitSpec, render_portrait
 
-    try:
-        spec = PortraitSpec(width=args.width, height=args.height)
-    except ValueError as exc:
-        raise CliError(f"bad portrait size {exc}") from exc
+    spec = PortraitSpec(width=args.width, height=args.height)
     params, cfg, verdict = _global_verdict(args)
     svg = render_portrait(build_system(params), verdict, verdict.infinity, spec, cfg)
     _emit(svg, args.out)
@@ -198,7 +187,7 @@ def cmd_portrait(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discflow",
         description="Center and global-center analysis of a cubic planar family",
     )
@@ -208,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", required=True, help="JSON file with a1..d2 as 'p/q' strings")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if chart:
-            p.add_argument("--chart", default="u1", help="local chart: u1, u2, u3, v1 or v2")
+            charts = ("u1", "u2", "u3", "v1", "v2")
+            p.add_argument("--chart", default="u1", type=str.lower, choices=charts, help="local chart")
         if steps:
             p.add_argument(
                 "--steps",
@@ -247,12 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as exc:
+        message = str(exc)
+        if "set_int_max_str_digits" in message:  # Python's advice, which a CLI user cannot act on
+            message = f"a result has more than {sys.get_int_max_str_digits()} digits"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

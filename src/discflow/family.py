@@ -65,8 +65,6 @@ class FamilyParams:
 
 
 def _parse_rational(name: str, value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"parameter value {value!r} is not a rational")
     if not isinstance(value, str):
         raise ValueError(f"parameter value {value!r} is not an exact rational")
     try:

@@ -321,6 +321,16 @@ def test_digit_limit_names_the_parameter(tmp_path, capsys, text):
     assert "set_int_max_str_digits" not in captured.err
 
 
+def test_only_refusals_exit_three(tmp_path, monkeypatch):
+    # a bug is not bad input: an error other than ValueError or ArithmeticError surfaces
+    def broken(params):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("discflow.cli.center_cases", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["decide", "--params", write_params(tmp_path)])
+
+
 BAD_INPUTS = {
     "zero-denominator-param": ("decide", "--params", "{zero_param}"),
     "deeply-nested-param-file": ("decide", "--params", "{deep_param}"),
@@ -341,6 +351,37 @@ BAD_INPUTS = {
     "zero-portrait-height": ("portrait", "--params", "{params}", "--height", "0"),
     "negative-portrait-height": ("portrait", "--params", "{params}", "--height", "-640"),
     "tiny-portrait": ("portrait", "--params", "{params}", "--width", "20", "--height", "20"),
+    "list-param-file": ("decide", "--params", "{list_param}"),
+    "string-param-file": ("decide", "--params", "{string_param}"),
+    "null-param-file": ("decide", "--params", "{null_param}"),
+    "bool-param": ("decide", "--params", "{bool_param}"),
+    "float-param": ("decide", "--params", "{float_value_param}"),
+    "no-params-flag": ("decide",),
+    "unknown-flag": ("decide", "--params", "{params}", "--bogus"),
+    "unknown-command": ("nosuch",),
+    "non-numeric-tol": ("verify", "--params", "{params}", "--tol", "abc"),
+    "non-numeric-width": ("portrait", "--params", "{params}", "--width", "abc"),
+    "result-past-digit-limit": ("decide", "--params", "{big_f_param}"),
+    "result-past-float-range": ("compactify", "--params", "{big_f_param}"),
+    "twist-past-digit-limit": ("blowup", "--params", "{params}", "--chart", "u2", "--steps", "twist:1e5000"),
+    "twists-past-digit-limit": (
+        "blowup", "--params", "{params}", "--chart", "u2", "--steps", ",".join(["twist:1e2000"] * 3),
+    ),
+}
+
+# the parameter files BAD_INPUTS names
+PARAM_FILES = {
+    "params": '{"b1": "-1", "c1": "4", "d1": "-3"}',
+    "zero_param": '{"a1": "1/0"}',
+    "deep_param": "[" * 5000 + "]" * 5000,
+    "unprintable_param": '{"b1": "1e5000"}',
+    "float_param": '{"b1": "1e400"}',
+    "list_param": "[]",
+    "string_param": '"1"',
+    "null_param": "null",
+    "bool_param": '{"a1": true}',
+    "float_value_param": '{"a1": 0.5}',
+    "big_f_param": '{"a1": "1", "a2": "1", "d1": "1e2000", "d2": "1"}',  # F has about 6000 digits
 }
 
 
@@ -357,15 +398,10 @@ def test_exact_commands_accept_a_param_beyond_float_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_three_without_traceback(tmp_path, case):
-    paths = {
-        "params": write_params(tmp_path, b1="-1", c1="4", d1="-3"),
-        "zero_param": write_params(tmp_path, "zero.json", a1="1/0"),
-        "deep_param": str(tmp_path / "deep.json"),
-        "unprintable_param": write_params(tmp_path, "huge.json", b1="1e5000"),
-        "float_param": write_params(tmp_path, "float.json", b1="1e400"),
-        "missing_dir": str(tmp_path / "missing"),
-    }
-    (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
+    paths = {"missing_dir": str(tmp_path / "missing")}
+    for key, text in PARAM_FILES.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(text)
     args = [arg.format(**paths) for arg in BAD_INPUTS[case]]
     cmd = [sys.executable, "-m", "discflow.cli", *args]
     run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=120)
@@ -374,3 +410,4 @@ def test_bad_input_exits_three_without_traceback(tmp_path, case):
     assert run.stderr.startswith("error:")
     assert len(run.stderr.splitlines()) == 1
     assert "Traceback" not in run.stderr
+    assert "set_int_max_str_digits" not in run.stderr  # advice a CLI user cannot act on

@@ -136,6 +136,23 @@ def test_roots_sharing_a_cell_get_finer_cells():
     assert root.lo**2 < 2 < root.hi**2
 
 
+def test_a_cell_shared_past_the_first_width_is_refined():
+    # x^7 - 2(1000x - 1)^2: two roots about 5e-14 apart near 1/1000, one near 18.2052
+    coeffs = [F(-2), F(4000), F(-2000000), F(0), F(0), F(0), F(0), F(1)]
+
+    def value(x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    roots = [root for root, mult in real_roots(coeffs) if mult == 1 and root.kind == "interval"]
+    assert len(roots) == len(real_roots(coeffs)) == 3
+    near, nearer, far = roots
+    assert _cell(near.lo, near.hi) == _cell(nearer.lo, nearer.hi) == 45 and near.hi <= nearer.lo
+    assert near.lo < F(1, 1000) < nearer.hi
+    assert _cell(far.lo, far.hi) == 40 and abs(far.approx() - 18.2052) < 1e-4
+    for root in roots:
+        assert value(root.lo) * value(root.hi) < 0
+
+
 def test_surd_text_does_not_depend_on_the_scale():
     # x^2 - 1/2 and 2x^2 - 1: the same roots, printed the same way
     half, whole = real_roots([F(-1, 2), 0, 1]), real_roots([-1, 0, 2])

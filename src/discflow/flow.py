@@ -2,20 +2,18 @@
 
 Floats live only here.  Every orbit runs through one engine: scipy's DOP853
 (Dormand-Prince 8(5,3), Hairer-Norsett-Wanner II.10: its float tableau and
-step control) in plain Python floats, with no end time, one accepted step at
-a time, each kept in the orbit's record (a `Trajectory`) as its start, size
-and the 7 coefficients of its 7th-order dense output, 18 floats.  A step
-costs 15 field evaluations (3 of them for the dense output), a rejected
-attempt 12, the start 2.  A sound screen on the coefficients passes the few
-steps where y may change sign, and only there (and at an exit, or in a
-drawing) is the dense output evaluated; sign changes are bisected to 1e-12 on
-it, so section crossings arrive in time order.  Escape
-is an outward crossing of the escape radius, where the stream ends.  One
-reader, `orbit_verdict`, turns that stream into every `OrbitVerdict`,
-evaluating the field only through its compiled form, and each verdict
-carries its record, which the portrait draws.
-The exact scan for other finite equilibria is in `equilibria`, the exact first
-integrals are in `family`; `first_integral_check` measures their float drift.
+step control) with no end time, one accepted step at a time, each kept in the
+orbit's record (a `Trajectory`) as its start, size and the 7 coefficients of
+its 7th-order dense output, 18 floats.  The step loop is generated once per
+field shape, in plain floats with the field inlined (see `_steps`).  A sound
+screen on the coefficients passes the few steps where y may change sign, and
+only there (and at an exit, or in a drawing) is the dense output evaluated;
+sign changes are bisected to 1e-12 on it, so section crossings arrive in time
+order.  Escape is an outward crossing of the escape radius, where the stream
+ends.  One reader, `orbit_verdict`, turns that stream into every verdict, and
+each verdict carries its record, which the portrait draws.  The exact scan
+for other finite equilibria is in `equilibria`, the exact first integrals are
+in `family`; `first_integral_check` measures their float drift.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ class Trajectory:
     """The record of one orbit: its accepted steps, 18 floats each, in `steps`.
 
     A step is t0, h, x, y, then (x, y) of its dense-output coefficients F0..F6
-    (see `_dense_coefficients`); an escaped orbit ends at its exit.  The start
+    (see `_dense`); an escaped orbit ends at its exit.  The start
     costs 2 field evaluations, an accepted step 15 (12 stages and the 3 extra
     ones of the dense output) and a `rejected` attempt 12."""
 
@@ -122,32 +120,166 @@ class OrbitVerdict:
         return {name: getattr(self, name) for name in names if getattr(self, name) is not None}
 
 
-def _poly_expr(p: Poly2) -> str:
-    if p.is_zero:
-        return "0.0"
-    # powers as products: a float product overflows to inf, where x**3 raises;
-    # a coefficient +-1 is a sign, the same float as the product with +-1.0
-    def term(c, factors):
-        if abs(c) != 1 or not factors:
-            return "*".join([repr(float(c))] + factors)
-        return ("-" if c < 0 else "") + "*".join(factors)
+@lru_cache
+def _shape(vf: VectorField) -> tuple[tuple[str, str], tuple[float, ...]]:
+    """The field's shape, p and q as source in x and y with a coefficient +-1 as a sign (the
+    same float as the product with +-1.0) and any other as a name, and the floats c0, c1, ..."""
+    coefficients: list[float] = []
 
-    return " + ".join(term(c, ["x"] * i + ["y"] * j) for (i, j), c in sorted(p.terms.items()))
+    def term(monomial, c):  # powers as products: x*x*x overflows to inf, where x**3 raises
+        factors = ["x"] * monomial[0] + ["y"] * monomial[1]
+        if abs(c) == 1 and factors:
+            return ("-" if c < 0 else "") + "*".join(factors)
+        coefficients.append(float(c))
+        return "*".join([f"c{len(coefficients) - 1}"] + factors)
+
+    shape = tuple(" + ".join(term(*t) for t in sorted(p.terms.items())) or "0.0" for p in (vf.p, vf.q))
+    return shape, tuple(coefficients)
 
 
 @lru_cache
 def _compile(vf: VectorField):
     """The field as f(z) -> p + iq with z = x + iy."""
-    p, q = _poly_expr(vf.p), _poly_expr(vf.q)
-    src = f"def f(z):\n    x, y = z.real, z.imag\n    return complex({p}, {q})\n"
-    namespace: dict = {}
-    exec(src, {"__builtins__": {}, "complex": complex}, namespace)
+    (p, q), coefficients = _shape(vf)
+    namespace = {f"c{k}": c for k, c in enumerate(coefficients)}
+    namespace.update(__builtins__={}, complex=complex)
+    exec(f"def f(z):\n    x, y = z.real, z.imag\n    return complex({p}, {q})\n", namespace)
     return namespace["f"]
 
 
 # -- the orbit engine ----------------------------------------------------------
 
 _STRIDE = 18  # floats per recorded step
+
+# scipy's DOP853 tableau as rows {j: a}: stage i is k_i = f(z + h * sum(a * k_j)), 12 at
+# the step's end, 13 to 15 only for the dense output, whose F3..F6 are h * sum(d * k_j).
+# The error estimates sum(e * (k_j - k0)) keep their digits, as E5 and E3 sum to 0.
+_A = {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+        6: 20.154067550477894, 7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+         6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+         10: 0.6433927460157636},
+    12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+    13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+         8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+    14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+         7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+         12: -0.00034046500868740456, 13: 0.1413124436746325},
+    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+         8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
+         14: -9.15095847217987},
+}
+_E5 = dict(zip(range(5, 12), (-1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)))
+_E3 = dict(zip(range(5, 12), (4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)))
+_DENSE = tuple(dict(zip((0, *range(5, 16)), row)) for row in (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+))
+
+# `_steps` in x and y; {field} is p, q at (x, y).  Its conditionals equal max and min, nan too.
+_LOOP = """\
+def steps(traj, x, y, rtol, atol, r{coefficients}):
+    extend, t, zx, zy = traj.steps.extend, 0.0, x, y
+    k0x, k0y = {field}
+    sx, sy = atol + abs(zx) * rtol, atol + abs(zy) * rtol
+    ux, uy, vx, vy = zx / sx, zy / sy, k0x / sx, k0y / sy
+    d0, d1 = sqrt(0.5 * (ux * ux + uy * uy)), sqrt(0.5 * (vx * vx + vy * vy))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    x, y = zx + h0 * k0x, zy + h0 * k0y
+    px, py = {field}
+    if not h0 > 0.0:
+        return f"initial step size {{h0}} is not positive"
+    ux, uy = (px - k0x) / sx, (py - k0y) / sy
+    d2 = sqrt(0.5 * (ux * ux + uy * uy)) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs, ax, ay, rz = min(100 * h0, h1), abs(zx), abs(zy), abs(complex(zx, zy))
+    while True:
+        min_step = 10.0 * ulp(t)
+        h_abs, rejected = min_step if min_step > h_abs else h_abs, False
+        while True:
+            if not h_abs >= min_step:
+                return "Required step size is less than spacing between numbers."
+            t1 = t + h_abs
+            h = h_abs = t1 - t
+{stages}
+            e5x, e5y, e3x, e3y = {errors}
+            bx, by = abs(x), abs(y)
+            sx, sy = atol + (bx if bx > ax else ax) * rtol, atol + (by if by > ay else ay) * rtol
+            e5, e3 = (e5x / sx) ** 2 + (e5y / sy) ** 2, (e3x / sx) ** 2 + (e3y / sy) ** 2
+            err = h * e5 / sqrt(2.0 * (e5 + 0.01 * e3)) if e5 else 0.0
+            if err < 1.0:
+                factor, cap = 10.0 if err == 0.0 else 0.9 * err**-0.125, 1.0 if rejected else 10.0
+                h_abs *= factor if factor < cap else cap
+                break
+            factor = 0.9 * err**-0.125
+            h_abs, rejected = h_abs * (factor if factor > 0.2 else 0.2), True
+            traj.rejected += 1
+        xn, yn = x, y
+{dense_stages}
+        f0x, f0y = xn - zx, yn - zy
+        step = (t, h, zx, zy, f0x, f0y, h * k0x - f0x, h * k0y - f0y,
+                2.0 * f0x - h * (k12x + k0x), 2.0 * f0y - h * (k12y + k0y), {dense})
+        extend(step)
+        rzn = abs(complex(xn, yn))
+        if rz <= r < rzn:
+            return t1, step
+        traj.t_end = t1
+        yield t1, step
+        t, zx, zy, k0x, k0y, ax, ay, rz = t1, xn, yn, k12x, k12y, bx, by, rzn
+"""
+
+
+@lru_cache(maxsize=16)
+def _kernel(shape: tuple[str, str]):
+    """`_steps`'s loop for the fields of one shape, written out and compiled when first met."""
+    field = "{}, {}".format(*shape)
+
+    def total(row: dict, name: str) -> str:  # sum(a * name_j) over a row, name like 'k{}x'
+        return " + ".join(f"{a!r}*{name.format(j)}" for j, a in row.items()).replace("+ -", "- ")
+
+    def stages(rows, indent):
+        return "\n".join(f"{indent}x, y = zx + h * ({total(_A[i], 'k{}x')}), zy + h * ("
+                         f"{total(_A[i], 'k{}y')})\n{indent}k{i}x, k{i}y = {field}" for i in rows)
+
+    source = _LOOP.format(
+        coefficients="".join(f", c{k}" for k in range("".join(shape).count("c"))), field=field,
+        stages=stages(range(1, 13), " " * 12), dense_stages=stages((13, 14, 15), " " * 8),
+        errors=", ".join(total(e, f"(k{{}}{c} - k0{c})") for e in (_E5, _E3) for c in "xy"),
+        dense=", ".join(f"h * ({total(row, 'k{}' + c)})" for row in _DENSE for c in "xy"))
+    namespace = {"__builtins__": {}, "abs": abs, "complex": complex, "max": max, "min": min,
+                 "sqrt": math.sqrt, "ulp": math.ulp}
+    exec(compile(source, "<dop853 step loop>", "exec"), namespace)
+    return namespace["steps"]
 
 
 def _bisect_time(g, a: float, b: float) -> float:
@@ -167,31 +299,6 @@ def _bisect_time(g, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _dense_coefficients(h, f0, k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15) -> tuple:
-    """(x, y) of F0..F6, scipy's 7th-order dense output of a step of size h that
-    moves the state by f0: at t0 + s*h, with u = 1 - s, the state is
-    z + s*(F0 + u*(F1 + s*(F2 + u*(F3 + s*(F4 + u*(F5 + s*F6))))))."""
-    f1, f2 = h * k0 - f0, 2.0 * f0 - h * (k12 + k0)
-    f3 = h * (-8.428938276109013 * k0 + 0.5667149535193777 * k5 - 3.0689499459498917 * k6
-              + 2.38466765651207 * k7 + 2.117034582445028 * k8 - 0.871391583777973 * k9
-              + 2.2404374302607883 * k10 + 0.6315787787694688 * k11 - 0.08899033645133331 * k12
-              + 18.148505520854727 * k13 - 9.194632392478356 * k14 - 4.436036387594894 * k15)
-    f4 = h * (10.427508642579134 * k0 + 242.28349177525817 * k5 + 165.20045171727028 * k6
-              - 374.5467547226902 * k7 - 22.113666853125306 * k8 + 7.733432668472264 * k9
-              - 30.674084731089398 * k10 - 9.332130526430229 * k11 + 15.697238121770845 * k12
-              - 31.139403219565178 * k13 - 9.35292435884448 * k14 + 35.81684148639408 * k15)
-    f5 = h * (19.985053242002433 * k0 - 387.0373087493518 * k5 - 189.17813819516758 * k6
-              + 527.8081592054236 * k7 - 11.57390253995963 * k8 + 6.8812326946963 * k9
-              - 1.0006050966910838 * k10 + 0.7777137798053443 * k11 - 2.778205752353508 * k12
-              - 60.19669523126412 * k13 + 84.32040550667716 * k14 + 11.99229113618279 * k15)
-    f6 = h * (-25.69393346270375 * k0 - 154.18974869023643 * k5 - 231.5293791760455 * k6
-              + 357.6391179106141 * k7 + 93.40532418362432 * k8 - 37.45832313645163 * k9
-              + 104.0996495089623 * k10 + 29.8402934266605 * k11 - 43.53345659001114 * k12
-              + 96.32455395918828 * k13 - 39.17726167561544 * k14 - 149.72683625798564 * k15)
-    return (f0.real, f0.imag, f1.real, f1.imag, f2.real, f2.imag, f3.real, f3.imag,
-            f4.real, f4.imag, f5.real, f5.imag, f6.real, f6.imag)
-
-
 def _may_cross(step) -> bool:
     """False only if y cannot change sign at the scan points of the step: F_m
     enters the state times s^a (1-s)^b, at most 1, 1/4, 4/27, 1/16, 108/3125,
@@ -203,7 +310,9 @@ def _may_cross(step) -> bool:
 
 
 def _dense(step, t: float) -> tuple[float, float]:
-    """The state at time t from a recorded step (see `_dense_coefficients`)."""
+    """The state at time t from a recorded step: scipy's 7th-order dense output,
+    z + s*(F0 + u*(F1 + s*(F2 + u*(F3 + s*(F4 + u*(F5 + s*F6)))))) at t0 + s*h,
+    u = 1 - s, where F0 is the step's move, F1 = h*k0 - F0 and F2 = 2*F0 - h*(k12 + k0)."""
     t0, h, x, y, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = step
     s = (t - t0) / h
     u = 1.0 - s
@@ -211,125 +320,26 @@ def _dense(step, t: float) -> tuple[float, float]:
             y + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
 
 
-def _norm(w: complex, sx: float, sy: float) -> float:
-    """scipy's RMS norm of (x, y) = (w.real / sx, w.imag / sy)."""
-    x, y = w.real / sx, w.imag / sy
-    return math.sqrt(0.5 * (x * x + y * y))
-
-
 def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj: Trajectory):
     """Accepted Dormand-Prince 8(5,3) steps from x0 as (t1, step), recorded in traj.
 
-    scipy's DOP853 tableau, initial step and step control (safety 0.9,
-    factors 0.2 to 10, exponent -1/8, its err5/err3 norm), so these are its
-    steps to rounding; the state x + iy is one complex number, k0..k15 are
-    scipy's stages (k12 = f(zn) is the next k0) and step is the 18 floats of
-    Trajectory.  The three extra stages of the dense output are taken on every
-    accepted step, so that `_may_cross` reads its coefficients.  After an
-    outward crossing of the escape radius the step is cut at the exit and the
+    scipy's DOP853 tableau, initial step and step control (safety 0.9, factors
+    0.2 to 10, exponent -1/8, its err5/err3 norm), so these are its steps to
+    rounding, run by the `_kernel` of the field's shape in x and y floats: those
+    of x + iy as one complex number, as c*(x + iy) is c*x - 0.0*y + i(c*y + 0.0*x),
+    but for the sign of a zero where a step leaves a coordinate in place.  After
+    an outward crossing of the escape radius the step is cut at the exit and the
     stream ends; a step below 10 float spacings of t raises StepUnderflow.
     """
-    f, rtol, atol, r = _compile(vf), cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
-    t, z = 0.0, complex(x0[0], x0[1])
-    k0 = f(z)
-    sx, sy = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
-    d0, d1 = _norm(z, sx, sy), _norm(k0, sx, sy)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    probe = f(z + h0 * k0)  # before the check, so nfev holds when the check fails too
-    if not h0 > 0.0:  # the field overflows at x0
-        raise StepUnderflow(f"initial step size {h0} is not positive")
-    d2 = _norm(probe - k0, sx, sy) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs = min(100 * h0, h1)
-    # conditionals in place of max and min below give the same float, nan included
-    zx, zy, rz = abs(z.real), abs(z.imag), abs(z)
-    while True:
-        min_step = 10.0 * math.ulp(t)
-        h_abs, rejected = min_step if min_step > h_abs else h_abs, False
-        while True:
-            if not h_abs >= min_step:  # a nan step size fails too
-                raise StepUnderflow("Required step size is less than spacing between numbers.")
-            t1 = t + h_abs
-            h = h_abs = t1 - t
-            k1 = f(z + h * (0.05260015195876773 * k0))
-            k2 = f(z + h * (0.0197250569845379 * k0 + 0.0591751709536137 * k1))
-            k3 = f(z + h * (0.02958758547680685 * k0 + 0.08876275643042054 * k2))
-            k4 = f(z + h * (0.2413651341592667 * k0 - 0.8845494793282861 * k2
-                            + 0.924834003261792 * k3))
-            k5 = f(z + h * (0.037037037037037035 * k0 + 0.17082860872947386 * k3
-                            + 0.12546768756682242 * k4))
-            k6 = f(z + h * (0.037109375 * k0 + 0.17025221101954405 * k3
-                            + 0.06021653898045596 * k4 - 0.017578125 * k5))
-            k7 = f(z + h * (0.03709200011850479 * k0 + 0.17038392571223998 * k3
-                            + 0.10726203044637328 * k4 - 0.015319437748624402 * k5
-                            + 0.008273789163814023 * k6))
-            k8 = f(z + h * (0.6241109587160757 * k0 - 3.3608926294469414 * k3
-                            - 0.868219346841726 * k4 + 27.59209969944671 * k5
-                            + 20.154067550477894 * k6 - 43.48988418106996 * k7))
-            k9 = f(z + h * (0.47766253643826434 * k0 - 2.4881146199716677 * k3
-                            - 0.590290826836843 * k4 + 21.230051448181193 * k5
-                            + 15.279233632882423 * k6 - 33.28821096898486 * k7
-                            - 0.020331201708508627 * k8))
-            k10 = f(z + h * (-0.9371424300859873 * k0 + 5.186372428844064 * k3
-                             + 1.0914373489967295 * k4 - 8.149787010746927 * k5
-                             - 18.52006565999696 * k6 + 22.739487099350505 * k7
-                             + 2.4936055526796523 * k8 - 3.0467644718982196 * k9))
-            k11 = f(z + h * (2.273310147516538 * k0 - 10.53449546673725 * k3
-                             - 2.0008720582248625 * k4 - 17.9589318631188 * k5
-                             + 27.94888452941996 * k6 - 2.8589982771350235 * k7
-                             - 8.87285693353063 * k8 + 12.360567175794303 * k9
-                             + 0.6433927460157636 * k10))
-            zn = z + h * (0.054293734116568765 * k0 + 4.450312892752409 * k5
-                          + 1.8915178993145003 * k6 - 5.801203960010585 * k7
-                          + 0.3111643669578199 * k8 - 0.1521609496625161 * k9
-                          + 0.20136540080403034 * k10 + 0.04471061572777259 * k11)
-            k12 = f(zn)
-            # E5 and E3 sum to 0: taken on k_i - k0, the estimates keep their digits
-            d5, d6, d7, d8 = k5 - k0, k6 - k0, k7 - k0, k8 - k0
-            d9, d10, d11 = k9 - k0, k10 - k0, k11 - k0
-            err5 = (-1.2251564463762044 * d5 - 0.4957589496572502 * d6 + 1.6643771824549864 * d7
-                    - 0.35032884874997366 * d8 + 0.3341791187130175 * d9
-                    + 0.08192320648511571 * d10 - 0.022355307863886294 * d11)
-            err3 = (4.450312892752409 * d5 + 1.8915178993145003 * d6 - 5.801203960010585 * d7
-                    - 0.4226823213237919 * d8 - 0.1521609496625161 * d9
-                    + 0.20136540080403034 * d10 + 0.02265179219836082 * d11)
-            ax, ay = abs(zn.real), abs(zn.imag)
-            sx, sy = atol + (ax if ax > zx else zx) * rtol, atol + (ay if ay > zy else zy) * rtol
-            e5 = (err5.real / sx) ** 2 + (err5.imag / sy) ** 2
-            e3 = (err3.real / sx) ** 2 + (err3.imag / sy) ** 2
-            err = abs(h) * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 else 0.0
-            if err < 1.0:
-                factor, cap = 10.0 if err == 0.0 else 0.9 * err**-0.125, 1.0 if rejected else 10.0
-                h_abs *= factor if factor < cap else cap
-                break
-            factor = 0.9 * err**-0.125
-            h_abs *= factor if factor > 0.2 else 0.2
-            rejected = True
-            traj.rejected += 1
-        k13 = f(z + h * (0.056167502283047954 * k0 + 0.25350021021662483 * k6
-                         - 0.2462390374708025 * k7 - 0.12419142326381637 * k8
-                         + 0.15329179827876568 * k9 + 0.00820105229563469 * k10
-                         + 0.007567897660545699 * k11 - 0.008298 * k12))
-        k14 = f(z + h * (0.03183464816350214 * k0 + 0.028300909672366776 * k5
-                         + 0.053541988307438566 * k6 - 0.05492374857139099 * k7
-                         - 0.00010834732869724932 * k10 + 0.0003825710908356584 * k11
-                         - 0.00034046500868740456 * k12 + 0.1413124436746325 * k13))
-        k15 = f(z + h * (-0.42889630158379194 * k0 - 4.697621415361164 * k5
-                         + 7.683421196062599 * k6 + 4.06898981839711 * k7
-                         + 0.3567271874552811 * k8 - 0.0013990241651590145 * k12
-                         + 2.9475147891527724 * k13 - 9.15095847217987 * k14))
-        step = (t, h, z.real, z.imag) + _dense_coefficients(
-            h, zn - z, k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15)
-        traj.steps.extend(step)
-        rzn = abs(zn)
-        escaped = rz <= r < rzn
-        if escaped:
-            t1 = _bisect_time(lambda t: math.hypot(*_dense(step, t)) - r, t, t1)
-        traj.t_end, traj.escaped = t1, escaped
-        yield t1, step
-        if escaped:
-            return
-        t, z, k0, zx, zy, rz = t1, zn, k12, ax, ay, rzn
+    shape, coefficients = _shape(vf)
+    x, y, r = float(x0[0]), float(x0[1]), cfg.escape_radius
+    end = yield from _kernel(shape)(traj, x, y, cfg.rel_tol, cfg.abs_tol, r, *coefficients)
+    if isinstance(end, str):
+        raise StepUnderflow(end)
+    t1, step = end  # else the kernel returned the step that crossed the escape radius
+    t1 = _bisect_time(lambda t: math.hypot(*_dense(step, t)) - r, step[0], t1)
+    traj.t_end, traj.escaped = t1, True
+    yield t1, step
 
 
 def _section_crossings(t1: float, step):

@@ -15,6 +15,7 @@ float approximation without caring which case it got.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -84,9 +85,12 @@ class RealRoot:
         return f"[{self.lo}, {self.hi}]"
 
     def to_json(self):
-        if self.kind == "interval":
-            return {"interval": [str(self.lo), str(self.hi)], "approx": self.approx()}
-        return {"exact": self.exact_str(), "approx": self.approx()}
+        out = {"interval": [str(self.lo), str(self.hi)]} if self.kind == "interval" else {
+            "exact": self.exact_str()}
+        with suppress(OverflowError):
+            if math.isfinite(approx := self.approx()):
+                out["approx"] = approx
+        return out
 
     def __repr__(self) -> str:
         return f"RealRoot({self.exact_str()})"
@@ -309,19 +313,25 @@ def real_roots(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
         coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial has no isolated roots")
-    out: list[tuple[RealRoot, int]] = []
     shift = 0
     while coeffs[0] == 0:
         coeffs.pop(0)
         shift += 1
-    if shift:
-        out.append((RealRoot.rational(0), shift))
-    if len(coeffs) > 3:
-        out.extend(_isolate_high_degree(coeffs))
-    else:  # degree <= 2: closed forms
-        out.extend(quadratic_roots(*reversed(coeffs + [Fraction(0)] * (3 - len(coeffs)))))
-    out.sort(key=lambda pair: pair[0].approx())
+    if len(coeffs) > 3:  # rationals and cells that hold no other root: their bounds order them
+        out = sorted(_isolate_high_degree(coeffs), key=lambda pair: pair[0].bounds())
+    else:  # degree <= 2: closed forms, in order
+        out = quadratic_roots(*reversed(coeffs + [Fraction(0)] * (3 - len(coeffs))))
+    if shift:  # 0 is no root of the rest: it goes after the negative ones
+        out.insert(sum(_is_negative(root) for root, _ in out), (RealRoot.rational(0), shift))
     return out
+
+
+def _is_negative(root: RealRoot) -> bool:
+    """Whether a nonzero root is negative, exactly."""
+    if root.kind == "interval":
+        return root.hi <= 0  # a cell lies on one side of 0
+    a, b = root.a, root.b  # b = 0 for a rational; a + b*sqrt(r) has the sign of the larger square
+    return (a if a * a > b * b * root.r else b) < 0
 
 
 def poly_coeffs_in_x(p, at_y=Fraction(0)) -> list[Fraction]:

@@ -362,7 +362,6 @@ BAD_INPUTS = {
     "non-numeric-tol": ("verify", "--params", "{params}", "--tol", "abc"),
     "non-numeric-width": ("portrait", "--params", "{params}", "--width", "abc"),
     "result-past-digit-limit": ("decide", "--params", "{big_f_param}"),
-    "result-past-float-range": ("compactify", "--params", "{big_f_param}"),
     "twist-past-digit-limit": ("blowup", "--params", "{params}", "--chart", "u2", "--steps", "twist:1e5000"),
     "twists-past-digit-limit": (
         "blowup", "--params", "{params}", "--chart", "u2", "--steps", ",".join(["twist:1e2000"] * 3),
@@ -394,6 +393,21 @@ def test_exact_commands_accept_a_param_beyond_float_range(tmp_path, capsys):
     assert main(["compactify", "--params", params]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["params"]["b1"] == str(10**400) and out["chart_field"]["n_used"] == 3
+
+
+def test_compactify_keeps_roots_past_float_range(tmp_path, capsys):
+    # the exact roots are ordered exactly; an approx past float range is left out
+    params = tmp_path / "big_f.json"
+    params.write_text(PARAM_FILES["big_f_param"])
+    assert main(["compactify", "--params", str(params), "--chart", "u1"]) == 0
+    text = capsys.readouterr().out
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    out = json.loads(text, parse_constant=refuse)
+    points = [point["u"] for point in out["infinity"]["equilibria"]]
+    assert [sorted(u) for u in points] == [["interval"], ["approx", "exact"]]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 import warnings
+from array import array
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -56,6 +57,96 @@ def bisect_sample(traj, n: int, t_end: float | None = None):
         i = max(bisect_right(starts, t) - 1, 0) * flow._STRIDE
         out.append((t, *flow._dense(traj.steps[i : i + flow._STRIDE], t)))
     return out
+
+
+def complex_steps(vf: VectorField, x0, cfg: IntegratorConfig, traj, calls: list):
+    """The engine's step loop in complex arithmetic: the state x + iy is one complex
+    number, the tableau rows are walked term by term and the field is called through
+    `_compile(vf)`, each call appended to calls.  The generated kernel must give
+    the same floats byte for byte, but for the sign of a zero where a step leaves
+    a coordinate in place."""
+    field, rtol, atol, r = flow._compile(vf), cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
+
+    def f(z):
+        calls.append(z)
+        return field(z)
+
+    def combo(row, k):  # sum(a * k_j) from the left, a negative a subtracted
+        terms = [(a, k[j]) for j, a in row.items()]
+        out = terms[0][0] * terms[0][1]
+        for a, kj in terms[1:]:
+            out = out - -a * kj if a < 0 else out + a * kj
+        return out
+
+    def norm(w, sx, sy):
+        x, y = w.real / sx, w.imag / sy
+        return math.sqrt(0.5 * (x * x + y * y))
+
+    t, z = 0.0, complex(x0[0], x0[1])
+    k = {0: f(z)}
+    sx, sy = atol + abs(z.real) * rtol, atol + abs(z.imag) * rtol
+    d0, d1 = norm(z, sx, sy), norm(k[0], sx, sy)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    probe = f(z + h0 * k[0])
+    if not h0 > 0.0:
+        raise StepUnderflow(f"initial step size {h0} is not positive")
+    d2 = norm(probe - k[0], sx, sy) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1)
+    zx, zy, rz = abs(z.real), abs(z.imag), abs(z)
+    while True:
+        min_step = 10.0 * math.ulp(t)
+        h_abs, rejected = min_step if min_step > h_abs else h_abs, False
+        while True:
+            if not h_abs >= min_step:
+                raise StepUnderflow("Required step size is less than spacing between numbers.")
+            t1 = t + h_abs
+            h = h_abs = t1 - t
+            for i in range(1, 13):  # stage 12 is f at the step's end zn
+                zn = z + h * combo(flow._A[i], k)
+                k[i] = f(zn)
+            d = {j: k[j] - k[0] for j in flow._E5}
+            err5, err3 = combo(flow._E5, d), combo(flow._E3, d)
+            ax, ay = abs(zn.real), abs(zn.imag)
+            sx, sy = atol + (ax if ax > zx else zx) * rtol, atol + (ay if ay > zy else zy) * rtol
+            e5 = (err5.real / sx) ** 2 + (err5.imag / sy) ** 2
+            e3 = (err3.real / sx) ** 2 + (err3.imag / sy) ** 2
+            err = abs(h) * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 else 0.0
+            if err < 1.0:
+                factor, cap = 10.0 if err == 0.0 else 0.9 * err**-0.125, 1.0 if rejected else 10.0
+                h_abs *= factor if factor < cap else cap
+                break
+            factor = 0.9 * err**-0.125
+            h_abs *= factor if factor > 0.2 else 0.2
+            rejected = True
+            traj.rejected += 1
+        for i in (13, 14, 15):
+            k[i] = f(z + h * combo(flow._A[i], k))
+        f0 = zn - z
+        dense = [f0, h * k[0] - f0, 2.0 * f0 - h * (k[12] + k[0])]
+        dense += [h * combo(row, k) for row in flow._DENSE]
+        step = (t, h, z.real, z.imag, *(part for w in dense for part in (w.real, w.imag)))
+        traj.steps.extend(step)
+        rzn = abs(zn)
+        escaped = rz <= r < rzn
+        if escaped:
+            t1 = flow._bisect_time(lambda t: math.hypot(*flow._dense(step, t)) - r, t, t1)
+        traj.t_end, traj.escaped = t1, escaped
+        yield t1, step
+        if escaped:
+            return
+        t, z, k[0], zx, zy, rz = t1, zn, k[12], ax, ay, rzn
+
+
+def run_steps(steps, t_final: float, max_steps: int):
+    """Run a step stream to t_final or max_steps; the failure it raised, if any."""
+    try:
+        for n, (t1, _) in enumerate(steps, 1):
+            if t1 > t_final or n == max_steps:
+                return None
+    except StepUnderflow as exc:
+        return str(exc)
+    return None
 
 
 def recorded_steps(traj):
@@ -137,16 +228,27 @@ class TestCompiledField:
 
     def test_no_unit_coefficient_is_written(self):
         vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
-        assert flow._poly_expr(vf.p) == "y + -4.0*x*x*y"
-        assert flow._poly_expr(vf.q) == "-x + 4.0*x*y*y"
-        assert flow._poly_expr(Poly2.const(F(-1)) + X) == "-1.0 + x"
+        assert flow._shape(vf) == (("y + c0*x*x*y", "-x + c1*x*y*y"), (-4.0, 4.0))
+        # a constant is a coefficient, whatever its value
+        vf = VectorField(Poly2.const(F(-1)) + X, Poly2())
+        assert flow._shape(vf) == (("c0 + x", "0.0"), (-1.0,))
+
+    def test_one_kernel_per_shape(self):
+        # the control and its rescaling by 2 have one shape: one kernel, compiled once
+        flow._kernel.cache_clear()
+        control = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        scaled = build_system(FamilyParams.make(b1=-4, c1=16, d1=-12))
+        assert flow._shape(control)[0] == flow._shape(scaled)[0]
+        assert flow._shape(control)[1] != flow._shape(scaled)[1]
+        for vf in (control, scaled):
+            assert orbit_verdict(vf, (0.1, 0.0), CFG).trajectory.accepted > 0
+        assert flow._kernel.cache_info().misses == 1 and flow._kernel.cache_info().currsize == 1
 
     @settings(max_examples=60)
     @given(family, st.lists(st.floats(allow_nan=False), min_size=2, max_size=2))
     def test_same_floats_as_the_written_out_coefficients(self, params, point):
         vf = build_system(FamilyParams.make(**params))
-        for term in " + ".join([flow._poly_expr(vf.p), flow._poly_expr(vf.q)]).split(" + "):
-            assert not term.lstrip("-").startswith("1.0*")
+        assert 1.0 not in map(abs, flow._shape(vf)[1])  # the family has no constant term
         f = flow._compile(vf)
         p, q = (compile(parent_expr(c) if c.terms else "0.0", "", "eval") for c in (vf.p, vf.q))
         specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -3e-310]
@@ -193,6 +295,63 @@ class TestEngineMatchesScipy:
             assert math.hypot(x - dense(t)[0], y - dense(t)[1]) < 1e-9
 
 
+UNIT_OR_ZERO = st.sampled_from([F(-1), F(0), F(1)])
+
+
+class TestKernelMatchesComplexLoop:
+    """The generated plain-float kernel takes the complex loop's steps byte for byte."""
+
+    @staticmethod
+    def assert_same(vf: VectorField, start, t_final: float = 20.0, max_steps: int = 400):
+        traj, reference = flow.Trajectory(), flow.Trajectory()
+        failure = run_steps(flow._steps(vf, start, CFG, traj), t_final, max_steps)
+        assert run_steps(complex_steps(vf, start, CFG, reference, []), t_final, max_steps) == failure
+        assert traj.rejected == reference.rejected and traj.escaped == reference.escaped
+        assert same_float(traj.t_end, reference.t_end)
+        moves = traj.steps[4 :: flow._STRIDE] + traj.steps[5 :: flow._STRIDE]  # F0, each step's move
+        if 0.0 in moves:  # a coordinate that stays put for a step may keep a zero of either sign
+            cleared = [array("d", (v + 0.0 for v in t.steps)).tobytes() for t in (traj, reference)]
+            assert cleared[0] == cleared[1]
+        else:
+            assert traj.steps.tobytes() == reference.steps.tobytes()
+        return traj
+
+    @pytest.mark.parametrize(
+        ("vf", "start"),
+        [
+            (LINEAR, (1.0, 0.0)),
+            (LINEAR, (0.0, -1.0)),
+            (VectorField(X * Y, X * (X - 1)), (0.5, 0.3)),
+            (VectorField(X * Y, X * (X - 1)), (0.0, 0.7)),  # on its line of equilibria
+            (LINEAR, (0.0, 0.0)),  # an equilibrium: the zeros of F1 differ in sign
+            (VectorField(Y - X**4, -X + F(1, 2) * X * Y**3), (0.5, -0.25)),
+        ],
+        ids=["linear", "linear-below", "common-factor", "common-factor-equilibrium",
+             "linear-equilibrium", "quartic"],
+    )
+    def test_any_field(self, vf, start):
+        self.assert_same(vf, start)
+
+    def test_rejections_and_escape(self):
+        # iii-line-a1 from (5, 0) rejects 79 attempts in its first 260 steps; the control escapes
+        traj = self.assert_same(build_system(FamilyParams.make(a1=1, b1=1, d1=-1)), (5.0, 0.0))
+        assert traj.rejected > 50
+        traj = self.assert_same(build_system(FamilyParams.make(b1=-1, c1=4, d1=-3)), (1.0, 1.0))
+        assert traj.escaped
+
+    @settings(max_examples=60)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2"]),
+            UNIT_OR_ZERO | st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        ),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.floats(min_value=-5.0, max_value=5.0),
+    )
+    def test_family_draws(self, params, x, y):
+        self.assert_same(build_system(FamilyParams.make(**params)), (x, y))
+
+
 class TestRecord:
     def test_verdict_carries_its_record(self):
         v = orbit_verdict(LINEAR, (0.0, 1.0), CFG)
@@ -220,19 +379,20 @@ class TestRecord:
                 assert traj.sample(n, t_end) == bisect_sample(traj, n, t_end)
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["steps", "overflow"])
-    def test_nfev_counts_the_field_calls(self, monkeypatch, overflow):
-        # no step of the linear field is rejected, so a nonlinear one counts attempts
+    def test_nfev_counts_the_field_calls(self, overflow):
+        # the kernel calls no field, so the calls are counted in the complex stepper,
+        # which takes the kernel's steps byte for byte; no step of the linear field is
+        # rejected, so a nonlinear one counts attempts
         params = dict(b1=-1, c1=4, d1=-3) if overflow else dict(a1=1, b1=1, d1=-1)
-        vf = build_system(FamilyParams.make(**params))
-        f, calls = flow._compile(vf), []
-        monkeypatch.setattr(flow, "_compile", lambda _: lambda z: calls.append(z) or f(z))
-        traj = flow.Trajectory()
-        steps = flow._steps(vf, (1e200 if overflow else 5.0, 0.0), CFG, traj)
+        vf, start = build_system(FamilyParams.make(**params)), (1e200 if overflow else 5.0, 0.0)
+        traj, reference, calls = flow.Trajectory(), flow.Trajectory(), []
+        failure = run_steps(flow._steps(vf, start, CFG, traj), math.inf, 1000)
+        assert run_steps(complex_steps(vf, start, CFG, reference, calls), math.inf, 1000) == failure
+        assert traj.steps.tobytes() == reference.steps.tobytes()
         if overflow:  # the field overflows at the start: the initial step fails
-            with pytest.raises(StepUnderflow, match="^initial step size nan is not positive$"):
-                next(steps)
+            assert failure == "initial step size nan is not positive" and len(calls) == 2
         else:
-            assert len(list(zip(range(1000), steps))) == traj.accepted and traj.rejected > 0
+            assert failure is None and traj.accepted == 1000 and traj.rejected > 0
         assert traj.nfev == len(calls)
 
     def test_escaping_record_ends_at_the_exit(self):
@@ -522,14 +682,25 @@ class TestGlobalVerdict:
             global_center_verdict(params, sample_radii=(0.5,), angles=2)
         assert any("center" in str(w.message) for w in caught)
 
-    def test_field_compiled_once_per_verdict(self, monkeypatch):
-        compiled = []
-        poly_expr = flow._poly_expr
-        monkeypatch.setattr(flow, "_poly_expr", lambda p: compiled.append(p) or poly_expr(p))
-        flow._compile.cache_clear()
+    def test_field_compiled_once_per_verdict(self):
+        for cache in (flow._shape, flow._compile, flow._kernel):
+            cache.cache_clear()
         v = global_center_verdict(FamilyParams.make(b1=-1, c1=4, d1=-3))
         assert len(v.samples) == 32
-        assert len(compiled) == 2  # p and q of one compilation
+        # the field is written once, as its shape, and its kernel compiled once
+        assert flow._shape.cache_info().misses == 1 and flow._kernel.cache_info().misses == 1
+
+    def test_coefficient_beyond_float_range_refused_before_the_scans(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(flow, "infinite_equilibria", scan)
+        monkeypatch.setattr(flow, "finite_equilibria", scan)
+        params = FamilyParams.make(b1=F(10**400))
+        with pytest.raises(OverflowError):
+            global_center_verdict(params)
+        with pytest.raises(OverflowError):
+            orbit_verdict(build_system(params), (1.0, 0.0), CFG)
 
     def test_sample_order_deterministic(self):
         pts = sample_points((0.5, 1.0), 4)

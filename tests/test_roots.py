@@ -46,6 +46,16 @@ def test_monomial_factor_gives_zero_root():
     assert [(r.a, m) for r, m in roots] == [(F(0), 2), (F(3), 1)]
 
 
+@pytest.mark.parametrize("scale", [F(1, 10**800), F(10**800)])
+def test_zero_root_is_ordered_exactly(scale):
+    # x(x^2 - 2s): the surds +-sqrt(2s) round to 0.0 as floats, or are past float range
+    roots = real_roots([F(0), -2 * scale, F(0), F(1)])
+    assert [(r.kind, r.a, r.b > 0, m) for r, m in roots] == [
+        ("surd", 0, False, 1), ("rational", 0, False, 1), ("surd", 0, True, 1)]
+    for r, _ in roots[::2]:
+        assert ("approx" in r.to_json()) == (scale < 1) and r.to_json()["exact"] == r.exact_str()
+
+
 def test_high_degree_isolation():
     # (x^2 - 2)(x^2 - 3) = x^4 - 5x^2 + 6: four irrational roots
     roots = real_roots([F(6), F(0), F(-5), F(0), F(1)])

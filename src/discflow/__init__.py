@@ -20,11 +20,10 @@ _EXPORTS = {
     "classify": ("EquilibriumClass", "PointType", "classify_from_jacobian", "classify_point",
                  "refine_semihyperbolic"),
     "family": ("CenterReport", "FamilyParams", "GlobalReport", "NotConserved", "build_system",
-               "center_cases", "conserved_quantity", "from_complex", "global_cases", "hamiltonian",
-               "normal_form"),
+               "center_cases", "from_complex", "global_cases", "hamiltonian"),
     "equilibria": ("finite_equilibria",),
-    "flow": ("GlobalVerdict", "IntegratorConfig", "OrbitVerdict", "StepUnderflow",
-             "first_integral_check", "global_center_verdict", "integrate", "orbit_verdict"),
+    "flow": ("GlobalVerdict", "IntegratorConfig", "OrbitVerdict", "first_integral_check",
+             "global_center_verdict", "orbit_verdict"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

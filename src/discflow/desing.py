@@ -92,7 +92,7 @@ def vertical_blowup(vf: VectorField) -> VectorField:
     """
     p_sub = vf.p.substitute(X, X * Y)
     q_sub = vf.q.substitute(X, X * Y)
-    v_dot = (q_sub - Y * p_sub).divide_monomial("x", 1)
+    v_dot = (q_sub - Y * p_sub).divide_monomial("u", 1)
     return VectorField(p_sub, v_dot)
 
 
@@ -120,9 +120,10 @@ def choose_shear_beta(vf: VectorField) -> Fraction:
 
 @dataclass(frozen=True)
 class BlowupStep:
+    """One chain step; its input is the previous step's output, or the chain's start."""
+
     kind: str
     args: tuple
-    input: VectorField
     output: VectorField
 
     def to_json(self, names: tuple[str, str] = ("u", "v")) -> dict:
@@ -174,7 +175,7 @@ def apply_step(vf: VectorField, spec: tuple) -> BlowupStep:
     if len(raw) != len(converters):
         raise ValueError(f"step {kind!r} takes {len(converters)} argument(s), got {len(raw)}")
     args = tuple(convert(a) for convert, a in zip(converters, raw))
-    return BlowupStep(kind=kind, args=args, input=vf, output=transform(vf, *args))
+    return BlowupStep(kind=kind, args=args, output=transform(vf, *args))
 
 
 def run_chain(vf: VectorField, specs: list[tuple]) -> BlowupChain:

@@ -5,12 +5,14 @@ with the complex coefficients A3..A6 = a1+i*a2, ..., d1+i*d2.  It is not quite
 i*dw/dt = w - A3*conj(w)^2 - A4*w^3 - A5*w^2*conj(w) - A6*w*conj(w)^2 with
 w = x + i*y: its x' is that equation's expansion minus (b1 - c1 + d1)*y^3
 (b1 = 1 alone gives a conj(w)^3 term, which no member of the equation has, and
-statement (b) of `global_cases` holds for the real system only).  So every
-per-regime object here, normal form or first integral, is derived from
-`build_system`; only the center invariants (F, G, Im(A4*A6)) are products of
-A3..A6 as Gaussian rationals.  All decisions are exact over the rationals: the
-oracles return every matching condition set, since the sets genuinely overlap
-(the zero vector satisfies all of them).
+statement (b) of `global_cases` holds for the real system only).  So a first
+integral is derived from `build_system`'s field (`hamiltonian`); only the
+center invariants (F, G, Im(A4*A6)) are products of A3..A6 as Gaussian
+rationals.  Each global statement but (d) is one predicate: the hypotheses of
+a reduced normal form (aa1..aa4, bb5, bb7), then its remaining conditions.
+All decisions are exact over the rationals: the oracles return every matching
+condition set, since the sets genuinely overlap (the zero vector satisfies all
+of them).
 """
 
 from __future__ import annotations
@@ -178,33 +180,23 @@ def center_cases(params: FamilyParams) -> CenterReport:
     return CenterReport(tuple(cases), f_val, g_val)
 
 
-# each reduced normal form's hypotheses, as text and as a test of the parameters
-_NORMAL_FORMS = {
-    "aa1": ("a1=a2=b2=c2=d2=0, d1=3*b1, c1=-4*b1",
-            lambda p: p.a1 == p.a2 == p.b2 == p.c2 == p.d2 == 0
-            and p.d1 == 3 * p.b1 and p.c1 == -4 * p.b1),
-    "aa2": ("a1=a2=b2=c1=c2=d2=0, d1=3*b1",
-            lambda p: p.a1 == p.a2 == p.b2 == p.c1 == p.c2 == p.d2 == 0 and p.d1 == 3 * p.b1),
-    "aa3": ("a2=b1=b2=c2=d1=d2=0", lambda p: p.a2 == p.b1 == p.b2 == p.c2 == p.d1 == p.d2 == 0),
-    "aa4": ("a1=a2=b2=c2=d2=0, d1=-b1-c1",
-            lambda p: p.a1 == p.a2 == p.b2 == p.c2 == p.d2 == 0 and p.d1 == -p.b1 - p.c1),
-    "bb5": ("a2=b2=c1=c2=d2=0", lambda p: p.a2 == p.b2 == p.c1 == p.c2 == p.d2 == 0),
-    "bb7": ("a1=a2=b1=b2=c2=d2=0, d1=-c1",
-            lambda p: p.a1 == p.a2 == p.b1 == p.b2 == p.c2 == p.d2 == 0 and p.d1 == -p.c1),
-}
-
-
-# each global statement as (normal form, the conditions left beyond its
-# hypotheses); (d), the zero vector, has no normal form of its own
+# each global statement as one predicate: but for (d), the zero vector, the hypotheses
+# of the reduced normal form named in the comment, then the conditions left beyond them
 _STATEMENTS = {
-    "a": ("aa1", lambda p: p.c1 < 0),
-    "b": ("aa2", lambda p: p.b1 < 0),
-    "c": ("aa3", lambda p: p.a1 * p.a1 + p.c1 < 0),
-    "d": (None, FamilyParams.is_zero),
-    "e": ("aa4", lambda p: p.d1 != 3 * p.b1 and 2 * p.b1 + p.c1 <= 0 and p.b1 > 0),
-    "f": ("bb5", lambda p: p.b1 != 0 and p.a1 * p.a1 + 3 * p.b1 - p.d1 < 0
-          and p.a1 * p.a1 + 4 * (p.b1 + p.d1) < 0),
-    "g": ("bb7", lambda p: p.d1 > 0),
+    "a": lambda p: (p.a1 == p.a2 == p.b2 == p.c2 == p.d2 == 0  # aa1
+                    and p.d1 == 3 * p.b1 and p.c1 == -4 * p.b1 and p.c1 < 0),
+    "b": lambda p: (p.a1 == p.a2 == p.b2 == p.c1 == p.c2 == p.d2 == 0  # aa2
+                    and p.d1 == 3 * p.b1 and p.b1 < 0),
+    "c": lambda p: (p.a2 == p.b1 == p.b2 == p.c2 == p.d1 == p.d2 == 0  # aa3
+                    and p.a1 * p.a1 + p.c1 < 0),
+    "d": FamilyParams.is_zero,
+    "e": lambda p: (p.a1 == p.a2 == p.b2 == p.c2 == p.d2 == 0 and p.d1 == -p.b1 - p.c1  # aa4
+                    and p.d1 != 3 * p.b1 and 2 * p.b1 + p.c1 <= 0 and p.b1 > 0),
+    "f": lambda p: (p.a2 == p.b2 == p.c1 == p.c2 == p.d2 == 0  # bb5
+                    and p.b1 != 0 and p.a1 * p.a1 + 3 * p.b1 - p.d1 < 0
+                    and p.a1 * p.a1 + 4 * (p.b1 + p.d1) < 0),
+    "g": lambda p: (p.a1 == p.a2 == p.b1 == p.b2 == p.c2 == p.d2 == 0  # bb7
+                    and p.d1 == -p.c1 and p.d1 > 0),
 }
 
 
@@ -214,20 +206,7 @@ def global_cases(params: FamilyParams) -> GlobalReport:
     Inequality strictness is transcribed literally: the boundary 2*b1+c1 = 0
     in statement (e) is allowed, everything in (f) is strict.
     """
-    return GlobalReport(tuple(
-        name for name, (form, rest) in _STATEMENTS.items()
-        if (form is None or _NORMAL_FORMS[form][1](params)) and rest(params)
-    ))
-
-
-def normal_form(tag: str, params: FamilyParams) -> VectorField:
-    """The family's field on one reduced regime, once its hypotheses hold."""
-    if tag not in _NORMAL_FORMS:
-        raise ValueError(f"unknown normal form tag {tag!r}")
-    hypotheses, holds = _NORMAL_FORMS[tag]
-    if not holds(params):
-        raise ValueError(f"normal form {tag} requires {hypotheses}")
-    return build_system(params)
+    return GlobalReport(tuple(name for name, holds in _STATEMENTS.items() if holds(params)))
 
 
 # -- exact first integrals ------------------------------------------------------
@@ -250,9 +229,3 @@ def hamiltonian(vf: VectorField) -> Poly2:
         **{(i + 1, 0): -c / (i + 1) for (i, j), c in vf.q.terms.items() if j == 0},
     })
 
-
-def conserved_quantity(tag: str, params: FamilyParams) -> Poly2:
-    """The first integral of a Hamiltonian normal form, aa1..aa3."""
-    if tag not in ("aa1", "aa2", "aa3"):
-        raise ValueError(f"no first integral for normal form {tag!r}")
-    return hamiltonian(normal_form(tag, params))

@@ -11,9 +11,10 @@ only there (and at an exit, or in a drawing) is the dense output evaluated;
 sign changes are bisected to 1e-12 on it, so section crossings arrive in time
 order.  Escape is an outward crossing of the escape radius, where the stream
 ends.  One reader, `orbit_verdict`, turns that stream into every verdict, and
-each verdict carries its record, which the portrait draws.  The exact scan
-for other finite equilibria is in `equilibria`, the exact first integrals are
-in `family`; `first_integral_check` measures their float drift.
+each verdict carries its record, which the portrait draws and along which
+`first_integral_check` measures the float drift of an exact first integral
+(from `family.hamiltonian`).  The exact scan for other finite equilibria is
+in `equilibria`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _DRIFT_SAMPLES = 2001  # times at which first_integral_check reads a first integ
 
 
 class StepUnderflow(RuntimeError):
-    """The integrator failed (stiffness or a finite-time singularity)."""
+    """The step loop failed; `orbit_verdict` reads that as an inconclusive verdict."""
 
 
 @dataclass(frozen=True)
@@ -404,31 +405,17 @@ def orbit_verdict(
     return OrbitVerdict.escaping(traj.t_end - t_from, traj)
 
 
-def integrate(
-    vf: VectorField,
-    x0: tuple[float, float],
-    cfg: IntegratorConfig | None = None,
-    t_final: float | None = None,
-) -> Trajectory:
-    """The record of the orbit from x0 until t_final (default max_time) or escape."""
-    cfg = cfg or IntegratorConfig()
-    t_final = cfg.max_time if t_final is None else t_final
-    traj = Trajectory()
-    for t1, _ in _steps(vf, x0, cfg, traj):
-        if t1 > t_final:
-            traj.t_end, traj.escaped = t_final, False
-            break
-    return traj
-
-
 # -- first integrals ---------------------------------------------------------
 
 
-def first_integral_check(vf: VectorField, h: Poly2, traj: Trajectory) -> float:
-    """Max drift of h along the trajectory; h must be exactly conserved."""
+def first_integral_check(vf: VectorField, h: Poly2, verdict: OrbitVerdict) -> float:
+    """Max drift of h along the verdict's record, over [0, period] for a periodic
+    verdict, else over the whole record; h must be exactly conserved."""
     if not lie_derivative(h, vf).is_zero:
         raise NotConserved("Lie derivative of the candidate is not the zero polynomial")
-    samples = traj.sample(_DRIFT_SAMPLES)
+    if verdict.trajectory is None or not verdict.trajectory.steps:
+        raise ValueError(f"the verdict has no record to check: {verdict.reason}")
+    samples = verdict.trajectory.sample(_DRIFT_SAMPLES, verdict.period)
     h0 = h.evaluate_float(samples[0][1], samples[0][2])
     return max(abs(h.evaluate_float(px, py) - h0) for _, px, py in samples)
 

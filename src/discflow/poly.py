@@ -33,11 +33,11 @@ def rat(value: Scalar) -> Fraction:
 
 
 def _var_index(var: str) -> int:
-    if var in ("x", "u", 0):
+    if var in ("x", "u"):
         return 0
-    if var in ("y", "v", 1):
+    if var in ("y", "v"):
         return 1
-    raise ValueError(f"unknown variable {var!r}; expected 'x' or 'y'")
+    raise ValueError(f"unknown variable {var!r}; expected 'x', 'y', 'u' or 'v'")
 
 
 class Poly2:
@@ -195,12 +195,12 @@ class Poly2:
         """Exact quotient by var**k; raises NotDivisible on any remainder."""
         if k == 0:
             return self
-        axis = _var_index(var)
+        axis, (a, b) = _var_index(var), ("x", "y") if var in ("x", "y") else ("u", "v")
         out: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
             e = (i, j)[axis]
             if e < k:
-                raise NotDivisible(f"term x^{i}*y^{j} is not divisible by var^{k}")
+                raise NotDivisible(f"term {a}^{i}*{b}^{j} is not divisible by {var}^{k}")
             out[(i - k, j) if axis == 0 else (i, j - k)] = c
         return Poly2(out)
 

@@ -118,6 +118,24 @@ class TestBlowup:
         assert captured.out == ""
         assert "chain failed" in captured.err
 
+    @pytest.mark.parametrize(
+        ("member", "chart", "steps", "message"),
+        [
+            ("control", "u2", "rescale:v:1", "term u^2*v^0 is not divisible by v^1"),
+            ("control", "u2", "rescale:y:1", "term x^2*y^0 is not divisible by y^1"),
+            ("control", "u2", "rescale:z:1", "unknown variable 'z'; expected 'x', 'y', 'u' or 'v'"),
+            # U1's origin is no equilibrium of statement (b): the blow-up's division by u fails
+            ("b", "u1", "blowup", "term u^0*v^1 is not divisible by u^1"),
+        ],
+    )
+    def test_refused_chain_names_the_variable_given(self, tmp_path, capsys, member, chart, steps, message):
+        members = {"control": {"b1": "-1", "c1": "4", "d1": "-3"}, "b": {"b1": "-1", "d1": "-3"}}
+        params = write_params(tmp_path, **members[member])
+        assert main(["blowup", "--params", params, "--chart", chart, "--steps", steps]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chain failed: {message}\n"
+
     def test_malformed_steps(self, tmp_path, capsys):
         params = write_params(tmp_path)
         assert main(["blowup", "--params", params, "--chart", "u1", "--steps", "zoom"]) == 3

@@ -273,8 +273,9 @@ class TestChainMechanics:
     def test_steps_compose(self):
         vf = VectorField(Y + X**2, -X)
         chain = run_chain(vf, [("twist", 1), ("translate", 0, 0)])
-        assert chain.steps[0].input == vf
-        assert chain.steps[1].input == chain.steps[0].output
+        # each step's input is the previous step's output, the first's the start
+        assert chain.steps[0] == apply_step(chain.start, ("twist", 1))
+        assert chain.steps[1] == apply_step(chain.steps[0].output, ("translate", 0, 0))
         assert chain.final == chain.steps[-1].output
 
     def test_depth_limit(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -10,14 +11,12 @@ from discflow.family import (
     NotConserved,
     build_system,
     center_cases,
-    conserved_quantity,
     f_invariant,
     from_complex,
     g_invariant,
     global_cases,
     hamiltonian,
     lie_derivative,
-    normal_form,
 )
 from discflow.poly import Poly2, VectorField, X, Y
 
@@ -167,46 +166,84 @@ class TestGlobalCases:
             assert center_cases(p).is_center
 
 
+# each reduced normal form written out from the paper, as a field of its free
+# parameters: build_system must equal it wherever the form's hypotheses hold
+NORMAL_FORMS = {
+    "aa1": lambda p: VectorField(Y + 4 * p.b1 * X**2 * Y, -X - 4 * p.b1 * X * Y**2),
+    "aa2": lambda p: VectorField(Y, -X + 4 * p.b1 * X**3),
+    "aa3": lambda p: VectorField(
+        Y + 2 * p.a1 * X * Y - p.c1 * X**2 * Y,
+        -X + p.a1 * (X**2 - Y**2) + p.c1 * (X**3 + X * Y**2),
+    ),
+    "aa4": lambda p: VectorField(Y - (4 * p.b1 + 2 * p.c1) * X**2 * Y, -X - 4 * p.b1 * X * Y**2),
+    "bb5": lambda p: VectorField(
+        Y + 2 * p.a1 * X * Y - (3 * p.b1 - p.d1) * X**2 * Y,
+        -X + p.a1 * (X**2 - Y**2) + (p.b1 + p.d1) * X**3 + (p.d1 - 3 * p.b1) * X * Y**2,
+    ),
+    "bb7": lambda p: VectorField(Y - 2 * p.c1 * X**2 * Y, -X),
+}
+
+# each global statement but (d): members inside it, and the parameters that its
+# normal form's hypotheses fix, each shifted alone by 1/2 in the test
+HYPOTHESES = {
+    "a": ([{"b1": 1, "c1": -4, "d1": 3}, {"b1": F(1, 2), "c1": -2, "d1": F(3, 2)}],
+          ("a1", "a2", "b2", "c2", "d2", "d1", "c1")),
+    "b": ([{"b1": -1, "d1": -3}, {"b1": F(-2, 3), "d1": -2}],
+          ("a1", "a2", "b2", "c1", "c2", "d2", "d1")),
+    "c": ([{"a1": 1, "c1": -2}, {"a1": F(3, 5), "c1": F(-7, 2)}],
+          ("a2", "b1", "b2", "c2", "d1", "d2")),
+    "e": ([{"b1": 1, "c1": -3, "d1": 2}, {"b1": F(5, 4), "c1": -3, "d1": F(7, 4)}],
+          ("a1", "a2", "b2", "c2", "d2", "d1")),
+    "f": ([{"b1": -1, "d1": -2}, {"a1": F(-1, 2), "b1": -2, "d1": F(9, 7)}],
+          ("a2", "b2", "c1", "c2", "d2")),
+    "g": ([{"c1": F(-1, 5), "d1": F(1, 5)}, {"c1": F(-3, 8), "d1": F(3, 8)}],
+          ("a1", "a2", "b1", "b2", "c2", "d2", "c1")),
+}
+
+
 class TestNormalForms:
     def test_aa1(self):
         p = FamilyParams.make(b1=1, c1=-4, d1=3)
-        assert normal_form("aa1", p) == VectorField(Y + 4 * X**2 * Y, -X - 4 * X * Y**2)
+        assert build_system(p) == VectorField(Y + 4 * X**2 * Y, -X - 4 * X * Y**2)
 
     def test_aa2(self):
         p = FamilyParams.make(b1=-1, d1=-3)
-        assert normal_form("aa2", p) == VectorField(Y, -X - 4 * X**3)
+        assert build_system(p) == VectorField(Y, -X - 4 * X**3)
 
     def test_aa3(self):
         p = FamilyParams.make(a1=1, c1=-2)
-        assert normal_form("aa3", p) == VectorField(
+        assert build_system(p) == VectorField(
             Y + 2 * X * Y + 2 * X**2 * Y,
             -X + X**2 - Y**2 - 2 * X**3 - 2 * X * Y**2,
         )
 
     def test_aa4_cancellation(self):
         p = FamilyParams.make(b1=1, c1=-2, d1=1)
-        assert normal_form("aa4", p) == VectorField(Y, -X - 4 * X * Y**2)
+        assert build_system(p) == VectorField(Y, -X - 4 * X * Y**2)
 
     def test_bb5(self):
         p = FamilyParams.make(a1=1, b1=-2)
-        assert normal_form("bb5", p) == VectorField(
+        assert build_system(p) == VectorField(
             Y + 2 * X * Y + 6 * X**2 * Y,
             -X + X**2 - Y**2 - 2 * X**3 + 6 * X * Y**2,
         )
 
     def test_bb7(self):
         p = FamilyParams.make(c1=-1, d1=1)
-        assert normal_form("bb7", p) == VectorField(Y + 2 * X**2 * Y, -X)
+        assert build_system(p) == VectorField(Y + 2 * X**2 * Y, -X)
 
     def test_hypotheses_enforced(self):
-        with pytest.raises(ValueError, match="^normal form [a-z0-9]+ requires "):
-            normal_form("aa1", FamilyParams.make(b1=1, c1=-4, d1=3, a2=1))
-        with pytest.raises(ValueError, match="^normal form [a-z0-9]+ requires "):
-            normal_form("aa2", FamilyParams.make(b1=-1, d1=-2))
-        with pytest.raises(ValueError, match="^normal form [a-z0-9]+ requires "):
-            normal_form("bb7", FamilyParams.make(c1=-1, d1=2))
-        with pytest.raises(ValueError):
-            normal_form("zz9", FamilyParams())
+        # each hypothesis of each statement is needed: a dropped conjunct lets its shift through
+        for letter, (members, fixed) in HYPOTHESES.items():
+            for kwargs in members:
+                p = FamilyParams.make(**kwargs)
+                assert letter in global_cases(p).matching_statements
+                for name in fixed:  # the shift breaks one hypothesis and no other condition
+                    off = dataclasses.replace(p, **{name: getattr(p, name) + F(1, 2)})
+                    assert letter not in global_cases(off).matching_statements, (letter, kwargs, name)
+                # every statement but (d) lies on a normal form with a2 = 0
+                off = dataclasses.replace(p, a2=F(1))
+                assert global_cases(off).matching_statements == (), (letter, kwargs)
 
     @pytest.mark.parametrize(
         "tag,kwargs",
@@ -220,14 +257,8 @@ class TestNormalForms:
         ],
     )
     def test_normal_form_equals_family(self, tag, kwargs):
-        # each member passes its form; with a2 = 1 it passes no form and no
-        # global statement, since every statement but (d) lies on one form
         p = FamilyParams.make(**kwargs)
-        assert normal_form(tag, p) == build_system(p)
-        off = FamilyParams.make(**kwargs, a2=1)
-        with pytest.raises(ValueError, match="^normal form [a-z0-9]+ requires "):
-            normal_form(tag, off)
-        assert global_cases(off).matching_statements == ()
+        assert build_system(p) == NORMAL_FORMS[tag](p)
 
 
 def _cmul(u, v):
@@ -306,11 +337,13 @@ class TestHamiltonian:
         ],
     )
     def test_catalogued_integrals(self, tag, kwargs, expected):
-        assert conserved_quantity(tag, FamilyParams.make(**kwargs)) == expected
+        p = FamilyParams.make(**kwargs)
+        assert build_system(p) == NORMAL_FORMS[tag](p)
+        assert hamiltonian(build_system(p)) == expected
 
     def test_outside_regime_refused(self):
         # d1 != 3*b1: x' = y - 2x^2 y, y' = -x + 2x^3 - 2xy^2 has divergence -8xy
-        with pytest.raises(ValueError, match="^normal form [a-z0-9]+ requires "):
-            conserved_quantity("aa2", FamilyParams.make(b1=1, d1=1))
-        with pytest.raises(ValueError):
-            conserved_quantity("bb5", FamilyParams())
+        vf = build_system(FamilyParams.make(b1=1, d1=1))
+        assert vf.p.partial("x") + vf.q.partial("y") == -8 * X * Y
+        with pytest.raises(NotConserved):
+            hamiltonian(vf)

@@ -17,8 +17,8 @@ from discflow.family import (
     FamilyParams,
     NotConserved,
     build_system,
-    conserved_quantity,
     global_cases,
+    hamiltonian,
     lie_derivative,
 )
 from discflow.flow import (
@@ -27,7 +27,6 @@ from discflow.flow import (
     finite_equilibria,
     first_integral_check,
     global_center_verdict,
-    integrate,
     orbit_verdict,
     sample_points,
 )
@@ -178,24 +177,23 @@ class TestConfig:
 
 
 class TestIntegrate:
+    """Integration as read off a verdict's record."""
+
     def test_harmonic_oscillator_stays_on_circle(self):
-        traj = integrate(LINEAR, (1.0, 0.0), CFG, t_final=2 * math.pi)
-        worst = max(abs(math.hypot(px, py) - 1.0) for _, px, py in traj.sample(500))
+        v = orbit_verdict(LINEAR, (1.0, 0.0), CFG)
+        worst = max(abs(math.hypot(px, py) - 1.0) for _, px, py in v.trajectory.sample(500, v.period))
         assert worst < 1e-8
 
     def test_cubic_restoring_conserves_energy(self):
         # x' = y, y' = -x + 4*b1*x^3 with b1 = -1
-        params = FamilyParams.make(b1=-1, d1=-3)
-        vf = build_system(params)
-        h = conserved_quantity("aa2", params)
+        vf = build_system(FamilyParams.make(b1=-1, d1=-3))
         v = orbit_verdict(vf, (1.0, 0.0), CFG)
-        traj = integrate(vf, (1.0, 0.0), CFG, t_final=v.period)
-        assert first_integral_check(vf, h, traj) < 1e-8
+        assert first_integral_check(vf, hamiltonian(vf), v) < 1e-8
 
     def test_escape_detected(self):
         # c1 = 4 specialization has unbounded orbits through (1, 1)
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)
-        traj = integrate(build_system(params), (1.0, 1.0), CFG)
+        traj = orbit_verdict(build_system(params), (1.0, 1.0), CFG).trajectory
         assert traj.escaped and traj.t_end < 10.0
 
     def test_compiled_rhs_matches_exact(self):
@@ -275,8 +273,11 @@ class TestEngineMatchesScipy:
             ends.append(solver.t)
         rejected = (solver.nfev - 2) // 12 - len(ends)  # 12 field evaluations per attempt
         dense = solver.dense_output()
-        traj = integrate(vf, (5.0, 0.0), CFG, t_final=t_final)
-        assert not traj.escaped and traj.t_end == t_final
+        traj = flow.Trajectory()
+        for t1, _ in flow._steps(vf, (5.0, 0.0), CFG, traj):
+            if t1 > t_final:
+                break
+        assert not traj.escaped and traj.t_end > t_final
         starts = traj.steps[::flow._STRIDE]  # 0.0, then the end of every step but the last
         # rounding differences feed back into the step sizes: the two grids
         # drift apart by up to about 2e-7 over these 160 to 690 steps
@@ -583,15 +584,14 @@ class TestCrossingScreen:
 
 class TestFirstIntegrals:
     def test_known_integrals_are_conserved_symbolically(self):
-        cases = [
-            ("aa1", FamilyParams.make(b1=1, c1=-4, d1=3)),
-            ("aa2", FamilyParams.make(b1=-1, d1=-3)),
-            ("aa3", FamilyParams.make(a1=1, c1=-2)),
-            ("aa3", FamilyParams.make(a1=F(-2, 3), c1=F(-5, 4))),
-        ]
-        for tag, params in cases:
-            h = conserved_quantity(tag, params)
-            assert lie_derivative(h, build_system(params)).is_zero
+        for params in [
+            FamilyParams.make(b1=1, c1=-4, d1=3),
+            FamilyParams.make(b1=-1, d1=-3),
+            FamilyParams.make(a1=1, c1=-2),
+            FamilyParams.make(a1=F(-2, 3), c1=F(-5, 4)),
+        ]:
+            vf = build_system(params)
+            assert lie_derivative(hamiltonian(vf), vf).is_zero
 
     def test_quadratic_candidate_fails_on_mixed_slice(self):
         # the d1 = -b1-c1 slice is not Hamiltonian for the naive candidate
@@ -599,13 +599,31 @@ class TestFirstIntegrals:
         vf = build_system(params)
         h = Poly2({(2, 0): F(1, 2), (0, 2): F(1, 2)})
         assert not lie_derivative(h, vf).is_zero
-        traj = integrate(vf, (1.0, 0.0), CFG, t_final=1.0)
         with pytest.raises(NotConserved):
-            first_integral_check(vf, h, traj)
+            first_integral_check(vf, h, orbit_verdict(vf, (1.0, 0.0), CFG))
 
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            conserved_quantity("aa4", FamilyParams())
+    def test_escaping_verdict_is_read_over_its_whole_record(self):
+        # H = -1 on the control's orbit from (1, 1), out to the escape radius
+        vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        v = orbit_verdict(vf, (1.0, 1.0), CFG)
+        assert v.tag == "escaping" and v.period is None
+        assert first_integral_check(vf, hamiltonian(vf), v) < 1e-8
+
+    @pytest.mark.parametrize(
+        ("vf", "start"),
+        [
+            (build_system(FamilyParams.make(b1=1, c1=2, d1=1)), (0.5, 0.0)),  # a line of equilibria
+            (build_system(FamilyParams.make(b1=1, c1=2, d1=1)), (0.5, 0.3)),
+            (build_system(FamilyParams.make(b1=-1, c1=4, d1=-3)), (1e200, 0.0)),  # no first step
+        ],
+        ids=["on-section-equilibrium", "off-section-equilibrium", "failed-first-step"],
+    )
+    def test_verdict_without_a_record_refused(self, vf, start):
+        v = orbit_verdict(vf, start, CFG)
+        assert v.tag == "inconclusive" and not (v.trajectory and v.trajectory.steps)
+        h = Poly2()  # the zero polynomial is conserved by any field
+        with pytest.raises(ValueError, match="^the verdict has no record to check: "):
+            first_integral_check(vf, h, v)
 
 
 class TestFiniteEquilibria:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,29 @@ def test_divide_monomial():
     assert q.divide_monomial("x", 2) == X * Y + Y**2
     with pytest.raises(NotDivisible):
         (X + Y).divide_monomial("x", 1)
+
+
+@pytest.mark.parametrize(
+    ("var", "k", "message"),
+    [
+        ("x", 2, "term x^1*y^2 is not divisible by x^2"),
+        ("y", 3, "term x^1*y^2 is not divisible by y^3"),
+        ("u", 3, "term u^1*v^2 is not divisible by u^3"),
+        ("v", 4, "term u^1*v^2 is not divisible by v^4"),
+    ],
+)
+def test_refused_division_names_the_variable_given(var, k, message):
+    # the chart names u, v are the CLI's; the term is written in the same letters
+    with pytest.raises(NotDivisible, match=f"^{re.escape(message)}$"):
+        (X * Y**2).divide_monomial(var, k)
+
+
+@pytest.mark.parametrize("var", ["z", 0, 1])
+def test_unknown_variable_lists_the_four_names(var):
+    with pytest.raises(ValueError, match=f"^unknown variable {var!r}; expected 'x', 'y', 'u' or 'v'$"):
+        X.partial(var)
+    with pytest.raises(ValueError, match="expected 'x', 'y', 'u' or 'v'"):
+        X.divide_monomial(var, 1)
 
 
 def test_canonical_text():

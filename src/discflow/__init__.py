@@ -12,8 +12,7 @@ import importlib
 # engine, the equilibrium scan or the portrait.
 _EXPORTS = {
     "poly": ("NotDivisible", "Poly2", "VectorField", "rat"),
-    "compactify": ("ChartField", "ChartId", "InfinityReport", "chart_field", "infinite_equilibria",
-                   "rescale_infinity_line"),
+    "compactify": ("ChartField", "ChartId", "InfinityReport", "chart_field", "infinite_equilibria"),
     "desing": ("BlowupChain", "BlowupStep", "CharacteristicPoly", "characteristic_directions",
                "choose_shear_beta", "run_chain", "shear", "time_rescale", "translate", "twist",
                "vertical_blowup"),

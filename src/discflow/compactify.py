@@ -89,16 +89,6 @@ def chart_field(vf: VectorField, chart: ChartId) -> ChartField:
     return ChartField(chart, VectorField(pu, pv), n)
 
 
-def rescale_infinity_line(cf: ChartField) -> ChartField:
-    """Divide both chart components by the common factor v exactly.
-
-    Applies when the circle at infinity is filled with equilibria; the
-    reduced field has the same orbits away from v = 0 and its v = 0 dynamics
-    is the field induced on the infinity line.  Raises NotDivisible otherwise.
-    """
-    return ChartField(cf.chart, cf.field.divide_monomial("y", 1), cf.n_used)
-
-
 def infinite_equilibria(vf: VectorField) -> InfinityReport:
     """Locate the equilibria on the circle at infinity.
 

@@ -5,16 +5,17 @@ Floats live only here.  Every orbit runs through one engine: scipy's DOP853
 step control) with no end time, one accepted step at a time, each kept in the
 orbit's record (a `Trajectory`) as its start, size and the 7 coefficients of
 its 7th-order dense output, 18 floats.  The step loop is generated once per
-field shape, in plain floats with the field inlined (see `_steps`).  A sound
-screen on the coefficients passes the few steps where y may change sign, and
-only there (and at an exit, or in a drawing) is the dense output evaluated;
-sign changes are bisected to 1e-12 on it, so section crossings arrive in time
-order.  Escape is an outward crossing of the escape radius, where the stream
-ends.  One reader, `orbit_verdict`, turns that stream into every verdict, and
-each verdict carries its record, which the portrait draws and along which
-`first_integral_check` measures the float drift of an exact first integral
-(from `family.hamiltonian`).  The exact scan for other finite equilibria is
-in `equilibria`.
+field shape, in plain floats with the field inlined, beside the field that
+judges an orbit's start (see `_kernel`).  A sound screen on the coefficients
+passes the few steps where y may change sign, and only there (and at an exit,
+or in a drawing) is the dense output evaluated; sign changes are bisected to
+1e-12 on it, so section crossings arrive in time order.  Escape is an outward
+crossing of the escape radius, where the loop cuts the step at the exit and
+ends the stream.  One reader, `orbit_verdict`, turns that stream into every
+verdict, and each verdict carries its record, which the portrait draws and
+along which `first_integral_check` measures the float drift of an exact first
+integral (from `family.hamiltonian`).  The exact scan for other finite
+equilibria is in `equilibria`.
 """
 
 from __future__ import annotations
@@ -138,16 +139,6 @@ def _shape(vf: VectorField) -> tuple[tuple[str, str], tuple[float, ...]]:
     return shape, tuple(coefficients)
 
 
-@lru_cache
-def _compile(vf: VectorField):
-    """The field as f(z) -> p + iq with z = x + iy."""
-    (p, q), coefficients = _shape(vf)
-    namespace = {f"c{k}": c for k, c in enumerate(coefficients)}
-    namespace.update(__builtins__={}, complex=complex)
-    exec(f"def f(z):\n    x, y = z.real, z.imag\n    return complex({p}, {q})\n", namespace)
-    return namespace["f"]
-
-
 # -- the orbit engine ----------------------------------------------------------
 
 _STRIDE = 18  # floats per recorded step
@@ -207,8 +198,12 @@ _DENSE = tuple(dict(zip((0, *range(5, 16)), row)) for row in (
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
 ))
 
-# `_steps` in x and y; {field} is p, q at (x, y).  Its conditionals equal max and min, nan too.
+# `_kernel`'s source; {field} is p, q at (x, y).  Its conditionals equal max and min, nan too.
 _LOOP = """\
+def field(x, y{coefficients}):
+    return {field}
+
+
 def steps(traj, x, y, rtol, atol, r{coefficients}):
     extend, t, zx, zy = traj.steps.extend, 0.0, x, y
     k0x, k0y = {field}
@@ -219,7 +214,7 @@ def steps(traj, x, y, rtol, atol, r{coefficients}):
     x, y = zx + h0 * k0x, zy + h0 * k0y
     px, py = {field}
     if not h0 > 0.0:
-        return f"initial step size {{h0}} is not positive"
+        raise StepUnderflow(f"initial step size {{h0}} is not positive")
     ux, uy = (px - k0x) / sx, (py - k0y) / sy
     d2 = sqrt(0.5 * (ux * ux + uy * uy)) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
@@ -229,7 +224,7 @@ def steps(traj, x, y, rtol, atol, r{coefficients}):
         h_abs, rejected = min_step if min_step > h_abs else h_abs, False
         while True:
             if not h_abs >= min_step:
-                return "Required step size is less than spacing between numbers."
+                raise StepUnderflow("Required step size is less than spacing between numbers.")
             t1 = t + h_abs
             h = h_abs = t1 - t
 {stages}
@@ -253,7 +248,10 @@ def steps(traj, x, y, rtol, atol, r{coefficients}):
         extend(step)
         rzn = abs(complex(xn, yn))
         if rz <= r < rzn:
-            return t1, step
+            t1 = bisect_time(lambda t: hypot(*dense(step, t)) - r, t, t1)
+            traj.t_end, traj.escaped = t1, True
+            yield t1, step
+            return
         traj.t_end = t1
         yield t1, step
         t, zx, zy, k0x, k0y, ax, ay, rz = t1, xn, yn, k12x, k12y, bx, by, rzn
@@ -262,7 +260,18 @@ def steps(traj, x, y, rtol, atol, r{coefficients}):
 
 @lru_cache(maxsize=16)
 def _kernel(shape: tuple[str, str]):
-    """`_steps`'s loop for the fields of one shape, written out and compiled when first met."""
+    """The step loop and the field for the fields of one shape, compiled when first met.
+
+    steps(traj, x, y, rtol, atol, r, c0, ...) yields the accepted Dormand-Prince
+    8(5,3) steps from (x, y) as (t1, step), recorded in traj: scipy's DOP853
+    tableau, initial step and step control (safety 0.9, factors 0.2 to 10,
+    exponent -1/8, its err5/err3 norm), so these are its steps to rounding, in x
+    and y floats: those of x + iy as one complex number, as c*(x + iy) is
+    c*x - 0.0*y + i(c*y + 0.0*x), but for the sign of a zero where a step leaves
+    a coordinate in place.  After an outward crossing of the escape radius r the
+    step is cut at the exit and the stream ends; a step below 10 float spacings
+    of t raises StepUnderflow.  field(x, y, c0, ...) is (p, q) at (x, y).
+    """
     field = "{}, {}".format(*shape)
 
     def total(row: dict, name: str) -> str:  # sum(a * name_j) over a row, name like 'k{}x'
@@ -278,9 +287,10 @@ def _kernel(shape: tuple[str, str]):
         errors=", ".join(total(e, f"(k{{}}{c} - k0{c})") for e in (_E5, _E3) for c in "xy"),
         dense=", ".join(f"h * ({total(row, 'k{}' + c)})" for row in _DENSE for c in "xy"))
     namespace = {"__builtins__": {}, "abs": abs, "complex": complex, "max": max, "min": min,
-                 "sqrt": math.sqrt, "ulp": math.ulp}
+                 "sqrt": math.sqrt, "ulp": math.ulp, "hypot": math.hypot, "dense": _dense,
+                 "bisect_time": _bisect_time, "StepUnderflow": StepUnderflow}
     exec(compile(source, "<dop853 step loop>", "exec"), namespace)
-    return namespace["steps"]
+    return namespace["steps"], namespace["field"]
 
 
 def _bisect_time(g, a: float, b: float) -> float:
@@ -321,28 +331,6 @@ def _dense(step, t: float) -> tuple[float, float]:
             y + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
 
 
-def _steps(vf: VectorField, x0: tuple[float, float], cfg: IntegratorConfig, traj: Trajectory):
-    """Accepted Dormand-Prince 8(5,3) steps from x0 as (t1, step), recorded in traj.
-
-    scipy's DOP853 tableau, initial step and step control (safety 0.9, factors
-    0.2 to 10, exponent -1/8, its err5/err3 norm), so these are its steps to
-    rounding, run by the `_kernel` of the field's shape in x and y floats: those
-    of x + iy as one complex number, as c*(x + iy) is c*x - 0.0*y + i(c*y + 0.0*x),
-    but for the sign of a zero where a step leaves a coordinate in place.  After
-    an outward crossing of the escape radius the step is cut at the exit and the
-    stream ends; a step below 10 float spacings of t raises StepUnderflow.
-    """
-    shape, coefficients = _shape(vf)
-    x, y, r = float(x0[0]), float(x0[1]), cfg.escape_radius
-    end = yield from _kernel(shape)(traj, x, y, cfg.rel_tol, cfg.abs_tol, r, *coefficients)
-    if isinstance(end, str):
-        raise StepUnderflow(end)
-    t1, step = end  # else the kernel returned the step that crossed the escape radius
-    t1 = _bisect_time(lambda t: math.hypot(*_dense(step, t)) - r, step[0], t1)
-    traj.t_end, traj.escaped = t1, True
-    yield t1, step
-
-
 def _section_crossings(t1: float, step):
     """Sign changes of y over a step up to t1 as (t, x, d) in time order, d = +1 upward."""
     t0, ta, ya = step[0], step[0], step[3]
@@ -369,20 +357,19 @@ def orbit_verdict(
     where it starts, and an exit time is counted from there too.  A start
     that is an equilibrium or a tangency is judged before any integration.
     """
-    cfg, f, traj = cfg or IntegratorConfig(), _compile(vf), Trajectory()
+    cfg, traj, (shape, coefficients) = cfg or IntegratorConfig(), Trajectory(), _shape(vf)
+    steps, field = _kernel(shape)
     x, y = float(point[0]), float(point[1])
     t_from, x_from, deadline, direction = 0.0, x, cfg.max_time, None
-    if y == 0.0 and x > 0.0:
-        q0 = f(complex(x, 0.0)).imag  # the crossing's orientation: +1 up, -1 down, 0 tangent
+    p0, q0 = field(x, y, *coefficients)
+    if y == 0.0 and x > 0.0:  # q0 is the crossing's orientation: +1 up, -1 down, 0 tangent
         direction = (q0 > 0.0) - (q0 < 0.0)
         if not direction:
             return OrbitVerdict.inconclusive("start is an equilibrium or a section tangency")
-    else:
-        w = f(complex(x, y))
-        if abs(w.real) + abs(w.imag) == 0.0:
-            return OrbitVerdict.inconclusive("initial condition is an equilibrium")
+    elif p0 == q0 == 0.0:
+        return OrbitVerdict.inconclusive("initial condition is an equilibrium")
     try:
-        for t1, step in _steps(vf, (x, y), cfg, traj):
+        for t1, step in steps(traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *coefficients):
             for tc, xc, d in _section_crossings(t1, step) if _may_cross(step) else ():
                 if tc > deadline:
                     break
@@ -476,7 +463,7 @@ def global_center_verdict(
     if not center_cases(params).is_center:
         warnings.warn("parameters do not satisfy any center condition", stacklevel=2)
     vf = build_system(params)
-    _compile(vf)  # a coefficient beyond float range raises OverflowError before the scans
+    _shape(vf)  # a coefficient beyond float range raises OverflowError before the scans
     infinity = infinite_equilibria(vf)
     extra = tuple(finite_equilibria(vf, math.inf))
     samples = [(pt, orbit_verdict(vf, pt, cfg)) for pt in sample_points(radii, angles)]

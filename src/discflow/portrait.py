@@ -9,6 +9,7 @@ timestamps or generated ids.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .compactify import InfinityReport
@@ -128,7 +129,10 @@ def render_portrait(
         svg.circle(cx, cy, scale, stroke="#c53030", width=2.5)
     else:
         for eq in infinity.equilibria:
-            theta = math.atan2(eq.u.approx(), 1.0) if eq.chart.value == "U1" else math.pi / 2.0
+            theta = math.pi / 2.0  # U2's origin, and a U1 root past float range, is vertical
+            if eq.chart.value == "U1":
+                with suppress(OverflowError):
+                    theta = math.atan2(eq.u.approx(), 1.0)
             for sign in (1.0, -1.0):
                 bx = math.cos(theta) * sign
                 by = math.sin(theta) * sign

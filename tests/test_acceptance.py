@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from discflow.classify import PointType, classify_from_jacobian, refine_semihyperbolic
-from discflow.compactify import ChartId, chart_field, rescale_infinity_line
-from discflow.desing import run_chain
+from discflow.compactify import ChartId, chart_field
+from discflow.desing import run_chain, time_rescale
 from discflow.family import FamilyParams, build_system, center_cases, global_cases, hamiltonian
 from discflow.flow import IntegratorConfig, first_integral_check, global_center_verdict, orbit_verdict
 
@@ -92,8 +92,8 @@ def test_criterion_1_symbolic_fixture_suite():
     # infinity-line rescale on the c1 = c2 = 0, d1 = -b1, d2 = b2 slice
     a1, a2, b1, b2 = 1, -2, 3, F(1, 2)
     opposite = FamilyParams.make(a1=a1, a2=a2, b1=b1, b2=b2, d1=-3, d2=b2)
-    reduced = rescale_infinity_line(chart_field(build_system(opposite), ChartId.U1))
-    assert canonical(reduced.field) == canonical(
+    reduced = time_rescale(chart_field(build_system(opposite), ChartId.U1).field, "v", 1)
+    assert canonical(reduced) == canonical(
         u1_line_rescaled_opposite_slice(a1, a2, b1, b2)
     )
 

@@ -202,6 +202,15 @@ class TestPortrait:
         assert 'stroke="#2b6cb0"' in text  # periodic orbits
         assert text.count("<polyline") == 16
 
+    def test_root_past_float_range_marked_at_the_vertical(self, tmp_path):
+        # the two U1 roots are +-3/2*sqrt(2.2...e627), about +-7e313: approx() raises there
+        params = write_params(tmp_path, b1="1e307", c1="-1e-320")
+        target = tmp_path / "big.svg"
+        assert main(["portrait", "--params", params, "--radii", "1", "--out", str(target)]) == 0
+        lines = list(ET.parse(target).getroot().iter("{http://www.w3.org/2000/svg}line"))
+        assert len(lines) == 6  # three infinite equilibria, two marks each
+        assert all(line.get("x1") == line.get("x2") == "320.000" for line in lines)
+
 
 class TestNumericFlags:
     @pytest.mark.parametrize("flag, value", [("--tol", "inf"), ("--max-time", "nan")])

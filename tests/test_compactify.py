@@ -2,12 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from discflow.compactify import (
-    ChartId,
-    chart_field,
-    infinite_equilibria,
-    rescale_infinity_line,
-)
+from discflow.compactify import ChartId, chart_field, infinite_equilibria
+from discflow.desing import time_rescale
 from discflow.family import FamilyParams, build_system
 from discflow.poly import NotDivisible, Poly2, VectorField, X, Y
 
@@ -154,30 +150,27 @@ class TestJacobianAt:
 
 
 class TestRescaleInfinityLine:
+    """A circle of equilibria at infinity is divided out of a chart field by v, exactly."""
+
     def test_reduced_field_opposite_slice(self):
         a1, a2, b1, b2 = 1, -2, 3, F(1, 2)
         params = FamilyParams.make(a1=a1, a2=a2, b1=b1, b2=b2, d1=-3, d2=b2)
         cf = chart_field(build_system(params), ChartId.U1)
-        reduced = rescale_infinity_line(cf)
-        assert reduced.field == u1_line_rescaled_opposite_slice(a1, a2, b1, b2)
-        assert reduced.n_used == cf.n_used
+        assert time_rescale(cf.field, "v", 1) == u1_line_rescaled_opposite_slice(a1, a2, b1, b2)
 
     def test_reduced_field_b2_zero(self):
         a1, b1 = 1, -1
         params = FamilyParams.make(a1=a1, b1=b1, d1=-b1)
-        reduced = rescale_infinity_line(chart_field(build_system(params), ChartId.U1))
+        reduced = time_rescale(chart_field(build_system(params), ChartId.U1).field, "v", 1)
         # u' = a1*(1 - 3u^2) - v - u^2 v, v' = 4*b1*u - u*v*(2*a1 + v)
         expect_p = F(a1) * (1 - 3 * X**2) - Y - X**2 * Y
         expect_q = 4 * F(b1) * X - X * Y * (2 * F(a1) + Y)
-        assert reduced.field == VectorField(expect_p, expect_q)
+        assert reduced == VectorField(expect_p, expect_q)
 
     def test_not_divisible(self):
         cf = chart_field(LINEAR_CENTER, ChartId.U1)
         with pytest.raises(NotDivisible):
-            rescale_infinity_line(cf)
+            time_rescale(cf.field, "v", 1)
 
     def test_simple_division(self):
-        from discflow.compactify import ChartField
-
-        cf = ChartField(ChartId.U1, VectorField(Y * X, Y**2), 1)
-        assert rescale_infinity_line(cf).field == VectorField(X, Y)
+        assert time_rescale(VectorField(Y * X, Y**2), "v", 1) == VectorField(X, Y)

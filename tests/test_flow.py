@@ -36,9 +36,23 @@ LINEAR = VectorField(Y, -X)
 CFG = IntegratorConfig()
 
 
+def kernel_field(vf: VectorField):
+    """The field of vf's kernel as f(z) -> p + iq with z = x + iy."""
+    shape, c = flow._shape(vf)
+    field = flow._kernel(shape)[1]
+    return lambda z: complex(*field(z.real, z.imag, *c))
+
+
+def kernel_steps(vf: VectorField, start, cfg: IntegratorConfig, traj):
+    """The step stream of vf's kernel from start, recorded in traj."""
+    shape, c = flow._shape(vf)
+    x, y = float(start[0]), float(start[1])
+    return flow._kernel(shape)[0](traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *c)
+
+
 def compile_rhs(vf: VectorField):
-    """The compiled field as scipy's right-hand side f(t, (x, y)) -> (p, q)."""
-    f = flow._compile(vf)
+    """The kernel's field as scipy's right-hand side f(t, (x, y)) -> (p, q)."""
+    f = kernel_field(vf)
 
     def rhs(t, z):
         w = f(complex(z[0], z[1]))
@@ -61,10 +75,10 @@ def bisect_sample(traj, n: int, t_end: float | None = None):
 def complex_steps(vf: VectorField, x0, cfg: IntegratorConfig, traj, calls: list):
     """The engine's step loop in complex arithmetic: the state x + iy is one complex
     number, the tableau rows are walked term by term and the field is called through
-    `_compile(vf)`, each call appended to calls.  The generated kernel must give
+    `kernel_field(vf)`, each call appended to calls.  The generated kernel must give
     the same floats byte for byte, but for the sign of a zero where a step leaves
     a coordinate in place."""
-    field, rtol, atol, r = flow._compile(vf), cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
+    field, rtol, atol, r = kernel_field(vf), cfg.rel_tol, cfg.abs_tol, cfg.escape_radius
 
     def f(z):
         calls.append(z)
@@ -247,7 +261,7 @@ class TestCompiledField:
     def test_same_floats_as_the_written_out_coefficients(self, params, point):
         vf = build_system(FamilyParams.make(**params))
         assert 1.0 not in map(abs, flow._shape(vf)[1])  # the family has no constant term
-        f = flow._compile(vf)
+        f = kernel_field(vf)
         p, q = (compile(parent_expr(c) if c.terms else "0.0", "", "eval") for c in (vf.p, vf.q))
         specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -3e-310]
         for x, y in [tuple(point)] + [(a, b) for a in specials for b in specials]:
@@ -274,7 +288,7 @@ class TestEngineMatchesScipy:
         rejected = (solver.nfev - 2) // 12 - len(ends)  # 12 field evaluations per attempt
         dense = solver.dense_output()
         traj = flow.Trajectory()
-        for t1, _ in flow._steps(vf, (5.0, 0.0), CFG, traj):
+        for t1, _ in kernel_steps(vf, (5.0, 0.0), CFG, traj):
             if t1 > t_final:
                 break
         assert not traj.escaped and traj.t_end > t_final
@@ -305,7 +319,7 @@ class TestKernelMatchesComplexLoop:
     @staticmethod
     def assert_same(vf: VectorField, start, t_final: float = 20.0, max_steps: int = 400):
         traj, reference = flow.Trajectory(), flow.Trajectory()
-        failure = run_steps(flow._steps(vf, start, CFG, traj), t_final, max_steps)
+        failure = run_steps(kernel_steps(vf, start, CFG, traj), t_final, max_steps)
         assert run_steps(complex_steps(vf, start, CFG, reference, []), t_final, max_steps) == failure
         assert traj.rejected == reference.rejected and traj.escaped == reference.escaped
         assert same_float(traj.t_end, reference.t_end)
@@ -387,7 +401,7 @@ class TestRecord:
         params = dict(b1=-1, c1=4, d1=-3) if overflow else dict(a1=1, b1=1, d1=-1)
         vf, start = build_system(FamilyParams.make(**params)), (1e200 if overflow else 5.0, 0.0)
         traj, reference, calls = flow.Trajectory(), flow.Trajectory(), []
-        failure = run_steps(flow._steps(vf, start, CFG, traj), math.inf, 1000)
+        failure = run_steps(kernel_steps(vf, start, CFG, traj), math.inf, 1000)
         assert run_steps(complex_steps(vf, start, CFG, reference, calls), math.inf, 1000) == failure
         assert traj.steps.tobytes() == reference.steps.tobytes()
         if overflow:  # the field overflows at the start: the initial step fails
@@ -536,6 +550,19 @@ class TestOrbitVerdict:
         v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=7.0))
         assert v.tag == "periodic"
         assert v.period == pytest.approx(2 * math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "params",
+        [dict(b1=1, c1=-4, d1=3), dict(b1=-1, d1=-3), dict(a1=1, c1=-2), dict(),
+         dict(b1=1, c1=-3, d1=2), dict(b1=-1, d1=-2), dict(c1=F(-1, 5), d1=F(1, 5)),
+         dict(b1=-1, c1=4, d1=-3), dict(a1=1, b1=-2)],
+        ids=["a", "b", "c", "d", "e", "f", "g", "control", "f-escape"],
+    )
+    def test_signed_zero_section_start(self, params):
+        # the start is judged by the field at the point itself, y = -0.0 included
+        vf = build_system(FamilyParams.make(**params))
+        for r in (0.5, 1.0, 2.0, 5.0):
+            assert orbit_verdict(vf, (r, -0.0), CFG) == orbit_verdict(vf, (r, 0.0), CFG)
 
     @pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
     def test_escape_needs_an_outward_crossing(self, start):
@@ -701,7 +728,7 @@ class TestGlobalVerdict:
         assert any("center" in str(w.message) for w in caught)
 
     def test_field_compiled_once_per_verdict(self):
-        for cache in (flow._shape, flow._compile, flow._kernel):
+        for cache in (flow._shape, flow._kernel):
             cache.cache_clear()
         v = global_center_verdict(FamilyParams.make(b1=-1, c1=4, d1=-3))
         assert len(v.samples) == 32

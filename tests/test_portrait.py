@@ -145,7 +145,7 @@ class TestDrawnFromRecords:
         def no_integration(*args, **kwargs):
             raise AssertionError("render_portrait integrated an orbit")
 
-        monkeypatch.setattr(flow, "_steps", no_integration)
+        monkeypatch.setattr(flow, "_kernel", no_integration)
         # a sample with no record (here built by hand) is skipped
         bare = ((2.0, 0.0), OrbitVerdict.inconclusive("no record"))
         with_bare = dataclasses.replace(verdict, samples=verdict.samples + (bare,))

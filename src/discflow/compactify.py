@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .poly import Poly2, VectorField, X, Y
-from .roots import RealRoot, poly_coeffs_in_x, real_roots
+from .roots import RealRoot, real_roots
 
 
 class ChartId(str, Enum):
@@ -92,19 +92,19 @@ def chart_field(vf: VectorField, chart: ChartId) -> ChartField:
 def infinite_equilibria(vf: VectorField) -> InfinityReport:
     """Locate the equilibria on the circle at infinity.
 
-    They are read off G = `vf.direction_form(n)`, n the effective degree: on
-    v = 0, U1's u' is -G(1, u), whose real roots cover every direction but the
-    vertical one, and U2's u' is G(u, 1), whose zero at u = 0 is the origin of
-    U2.  G = 0 means the whole circle consists of equilibria: only the line
-    flag is set and no isolated points are reported.
+    They are read off G = `vf.direction_form(n)`, n the effective degree, a
+    form of degree n + 1: on v = 0, U1's u' is -G(1, u), whose real roots
+    cover every direction but the vertical one, and U2's u' is G(u, 1), whose
+    zero at u = 0 is the origin of U2.  G = 0 means the whole circle consists
+    of equilibria: only the line flag is set and no isolated points are reported.
     """
     n = vf.effective_degree
     g = vf.direction_form(n)
     equilibria: list[InfinityEquilibrium] = []
     if g:
-        for root, mult in real_roots(poly_coeffs_in_x(-g.swap_vars(), 1)):
+        for root, mult in real_roots([-g.coefficient(n + 1 - j, j) for j in range(n + 2)]):
             equilibria.append(InfinityEquilibrium(ChartId.U1, root, mult))
-        g2 = poly_coeffs_in_x(g, 1)
+        g2 = [g.coefficient(i, n + 1 - i) for i in range(n + 2)]
         if g2[0] == 0:
             mult = next(k for k, c in enumerate(g2) if c != 0)
             equilibria.append(InfinityEquilibrium(ChartId.U2, RealRoot.rational(0), mult))

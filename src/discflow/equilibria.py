@@ -3,8 +3,10 @@ global-center verdict hinges.  A common factor of (p, q) is divided out and its
 curve sampled; the two elimination resultants give candidate coordinates, and a
 pair of them is confirmed by interval bounds of p and q over its box (a point
 for rational coordinates; an irrational coordinate's box side is its dyadic
-cell or surd enclosure from `roots`), computed exactly in integers.  The gcd,
-exact quotient and resultants run on integer polynomials with `roots`' kernels.
+cell or surd enclosure from `roots`), computed exactly in integers.  p and q
+are scaled to integer polynomials once, at the start, and the gcd, exact
+quotients, resultants, curve probes and box check all run on those forms with
+`roots`' kernels; no step depends on their scale.
 """
 
 from __future__ import annotations
@@ -15,39 +17,22 @@ from fractions import Fraction
 from functools import reduce
 
 from .poly import Poly2, VectorField
-from .roots import _divexact, _gcd as _int_gcd, poly_coeffs_in_x, real_roots
+from .roots import _divexact, _gcd, real_roots
 
 _PROBES = tuple(Fraction(v) for v in (0, 1, -1, Fraction(1, 2), -Fraction(1, 2), 2, -2))
 
 
-# -- exact algebra in Q[x][y] on integer polynomials, see roots' dense kernels
+# -- exact algebra in Z[x][y] on integer polynomials, see roots' dense kernels
 
 
-def _integer(h: Poly2, outer: str = "y") -> tuple[list, int]:
-    """(a, d) with a = d * h, a dense polynomial in the outer variable whose
-    coefficients are integer polynomials in the other one."""
+def _integer(h: Poly2) -> list:
+    """The integer multiple of h by the lcm of its coefficients' denominators,
+    dense in y, each coefficient a dense integer polynomial in x."""
     d = math.lcm(*(c.denominator for c in h.terms.values()))
-    terms = sorted(((j, i) if outer == "y" else (i, j), c) for (i, j), c in h.terms.items())
-    a: list = [[] for _ in range(terms[-1][0][0] + 1 if terms else 0)]
-    for (o, i), c in terms:
-        a[o] += [0] * (i - len(a[o])) + [c.numerator * (d // c.denominator)]
-    return a, d
-
-
-def _poly2(a: list, scale: Fraction = Fraction(1)) -> Poly2:
-    return Poly2({(i, j): c * scale for j, row in enumerate(a) for i, c in enumerate(row)})
-
-
-def _gcd(p: Poly2, q: Poly2) -> Poly2:
-    return _poly2(_int_gcd(_integer(p)[0], _integer(q)[0]))
-
-
-def _exquo(h: Poly2, g: Poly2) -> Poly2:
-    """h / g for g dividing h: by Gauss's lemma the primitive integer multiple
-    of g divides the integer multiple of h in Z[x, y]."""
-    (a, da), (b, db) = _integer(h), _integer(g)
-    content = math.gcd(*(c for row in b for c in row))
-    return _poly2(_divexact(a, [[c // content for c in row] for row in b]), Fraction(db, da * content))
+    a: list = [[] for _ in range(max((j + 1 for _, j in h.terms), default=0))]
+    for (i, j), c in sorted(h.terms.items()):
+        a[j] += [0] * (i - len(a[j])) + [c.numerator * (d // c.denominator)]
+    return a
 
 
 def _det(m: list[list[int]]) -> int:
@@ -65,58 +50,63 @@ def _det(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if m else 1
 
 
-def _resultant(p: Poly2, q: Poly2, eliminate: str) -> list[Fraction]:
-    """The resultant eliminating 'x' or 'y', as coefficients in the other, lowest first.
+def _resultant(a: list, b: list, eliminate: str) -> list[int]:
+    """The resultant of the integer forms a and b (from `_integer`) eliminating
+    'x' or 'y', as integer coefficients in the other variable, lowest first.
 
-    It is sympy's: the Sylvester determinant of the formal degrees n of p and
-    m of q in the eliminated variable, times (-1)**(n*m) when n < m (sympy
-    swaps p and q then).  It is taken with the other variable at 2**B
-    (Kronecker's substitution), 2**(B-1) above the bound ||p||_1**m *
-    ||q||_1**n on its coefficients, and read back as signed base-2**B digits.
+    It is sympy's: the Sylvester determinant of the formal degrees n of a and
+    m of b in the eliminated variable, times (-1)**(n*m) when n < m (sympy
+    swaps a and b then).  It is taken with the other variable at 2**B
+    (Kronecker's substitution), 2**(B-1) above the bound ||a||_1**m *
+    ||b||_1**n on its coefficients, and read back as signed base-2**B digits.
     """
-    if p.is_zero or q.is_zero:
-        return [Fraction(0)]
-    (a, da), (b, db) = _integer(p, eliminate), _integer(q, eliminate)
+    if not (a and b):
+        return [0]
+    if eliminate == "x":
+        a, b = (list(itertools.zip_longest(*h, fillvalue=0)) for h in (a, b))
     n, m = len(a) - 1, len(b) - 1
     norm_a, norm_b = (sum(abs(c) for row in h for c in row) for h in (a, b))
     B = (norm_a**m * norm_b**n).bit_length() + 1
     fa, fb = ([sum(c << B * i for i, c in enumerate(row)) for row in reversed(h)] for h in (a, b))
     value = _det([[0] * i + fa + [0] * (m - 1 - i) for i in range(m)]
                  + [[0] * i + fb + [0] * (n - 1 - i) for i in range(n)])
-    out, scale = [], Fraction((-1) ** (n * m) if n < m else 1, da**m * db**n)
+    out, sign = [], (-1) ** (n * m) if n < m else 1
     while value:
         digit = (value + (1 << B - 1)) % (1 << B) - (1 << B - 1)
-        out.append(digit * scale)
+        out.append(sign * digit)
         value = (value - digit) >> B
-    return out or [Fraction(0)]
+    return out or [0]
 
 
-def _gap_probes(g: Poly2):
+def _partial_y(g: list) -> list:
+    return [[j * c for c in row] for j, row in enumerate(g)][1:]
+
+
+def _gap_probes(g: list):
     """One rational x in each gap between the real roots of Res_y(g, dg/dy), g
     made square-free, and one beyond each end.  Above a gap the curve g = 0
     has no vertical tangent and no singular point, so it meets every vertical
     line of a gap it has a point above."""
-    g = _exquo(g, _gcd(g, g.partial("y")))
-    res = _resultant(g, g.partial("y"), "y")
+    g = _divexact(g, _gcd(g, _partial_y(g)))
+    res = _resultant(g, _partial_y(g), "y")
     bounds = [r.bounds() for r, _ in real_roots(res)] if len(res) > 1 else []
     yield from [lo - 1 for lo, _ in bounds[:1]]
     yield from [(hi + lo) / 2 for (_, hi), (lo, _) in zip(bounds, bounds[1:])]
     yield from [hi + 1 for _, hi in bounds[-1:]]
 
 
-def _curve_points(g: Poly2, radius: float) -> list[tuple[float, float]]:
-    """Points of the curve g = 0 within the radius, the origin left out.
+def _curve_points(g: list, radius: float) -> list[tuple[float, float]]:
+    """Points of the curve g = 0 (g an integer form) within the radius, the origin left out.
 
     A vertical line in the curve, x = c for a real root c of g's content in y,
     gives (c, 0), or (0, 1) when c = 0; the rest of the curve gives the first
     point found on the probe lines x = 0, ±1, ±1/2, ±2 or, when none of them
     meets it, on the lines of `_gap_probes`.
     """
-    content = reduce(_int_gcd, _integer(g)[0])  # in x, of g's coefficients in y
-    lines = [r.approx() for r, _ in real_roots(content)]
+    lines = [r.approx() for r, _ in real_roots(reduce(_gcd, g))]  # content in x of g's rows
     points = [(c, 0.0) if c else (0.0, 1.0) for c in lines]
     for x0 in itertools.chain(_PROBES, _gap_probes(g)):
-        coeffs = poly_coeffs_in_x(g.swap_vars(), x0)  # g(x0, y), in y
+        coeffs = [sum(c * x0**i for i, c in enumerate(row)) for row in g]  # g(x0, y), in y
         on_line = [(float(x0), r.approx()) for r, _ in real_roots(coeffs)] if any(coeffs[1:]) else []
         on_line = [pt for pt in on_line if 0 < math.hypot(*pt) <= radius]
         if on_line:
@@ -172,25 +162,24 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     equilibria) is divided out and witnessed by sample points on the curve.
     radius may be math.inf.
     """
-    p, q = vf.p, vf.q
+    p, q = _integer(vf.p), _integer(vf.q)
     found: list[tuple[float, float]] = []
     rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if not any(rx) or not any(ry):  # a common factor of positive degree in x or in y
         g = _gcd(p, q)
         found = _curve_points(g, radius)
-        p, q = _exquo(p, g), _exquo(q, g)
+        p, q = _divexact(p, g), _divexact(q, g)
         rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
         return sorted(set(found))
     xs = [r for r, _ in real_roots(rx) if abs(r.approx()) <= radius]
     ys = [r for r, _ in real_roots(ry) if abs(r.approx()) <= radius]
-    degree = max(p.degree, q.degree)
-    polys = (_integer(p)[0], _integer(q)[0])
-    y_powers = [_power_bounds(r.bounds(), degree) for r in ys]
+    x_degree, y_degree = max(len(row) for h in (p, q) for row in h) - 1, max(len(p), len(q)) - 1
+    y_powers = [_power_bounds(r.bounds(), y_degree) for r in ys]
     for rx_root in xs:
-        xp = _power_bounds(rx_root.bounds(), degree)
+        xp = _power_bounds(rx_root.bounds(), x_degree)
         for ry_root, yp in zip(ys, y_powers):
-            if all(_box_holds_zero(a, xp, yp) for a in polys):
+            if all(_box_holds_zero(a, xp, yp) for a in (p, q)):
                 found.append((rx_root.approx(), ry_root.approx()))
     deduped: list[tuple[float, float]] = []
     for pt in sorted(pt for pt in found if 0 < math.hypot(*pt) <= radius):

@@ -225,6 +225,8 @@ def steps(traj, x, y, rtol, atol, r{coefficients}):
         while True:
             if not h_abs >= min_step:
                 raise StepUnderflow("Required step size is less than spacing between numbers.")
+            if h_abs == inf:
+                raise StepUnderflow("Required step size is infinite.")
             t1 = t + h_abs
             h = h_abs = t1 - t
 {stages}
@@ -270,7 +272,9 @@ def _kernel(shape: tuple[str, str]):
     c*x - 0.0*y + i(c*y + 0.0*x), but for the sign of a zero where a step leaves
     a coordinate in place.  After an outward crossing of the escape radius r the
     step is cut at the exit and the stream ends; a step below 10 float spacings
-    of t raises StepUnderflow.  field(x, y, c0, ...) is (p, q) at (x, y).
+    of t, or an infinite one (from an equilibrium, where the error is 0 and the
+    step grows tenfold per step), raises StepUnderflow.  field(x, y, c0, ...) is
+    (p, q) at (x, y).
     """
     field = "{}, {}".format(*shape)
 
@@ -288,7 +292,7 @@ def _kernel(shape: tuple[str, str]):
         dense=", ".join(f"h * ({total(row, 'k{}' + c)})" for row in _DENSE for c in "xy"))
     namespace = {"__builtins__": {}, "abs": abs, "complex": complex, "max": max, "min": min,
                  "sqrt": math.sqrt, "ulp": math.ulp, "hypot": math.hypot, "dense": _dense,
-                 "bisect_time": _bisect_time, "StepUnderflow": StepUnderflow}
+                 "bisect_time": _bisect_time, "StepUnderflow": StepUnderflow, "inf": math.inf}
     exec(compile(source, "<dop853 step loop>", "exec"), namespace)
     return namespace["steps"], namespace["field"]
 

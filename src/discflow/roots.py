@@ -9,7 +9,9 @@ dyadic cell [k, k + 1] / 2**40 (2**-40 < 1e-12), halved until no other root
 lies in it, so its endpoints depend on the root alone and `approx()`, the
 midpoint, is an exact float for |root| < 2**12.  Both forms share the
 `RealRoot` carrier so downstream code can print an exact string or take a
-float approximation without caring which case it got.
+float approximation without caring which case it got.  Input is a plain
+coefficient list, lowest first; the dense integer kernels also serve the
+equilibrium scan's Z[x][y], and no bivariate format is read here.
 """
 
 from __future__ import annotations
@@ -332,14 +334,3 @@ def _is_negative(root: RealRoot) -> bool:
         return root.hi <= 0  # a cell lies on one side of 0
     a, b = root.a, root.b  # b = 0 for a rational; a + b*sqrt(r) has the sign of the larger square
     return (a if a * a > b * b * root.r else b) < 0
-
-
-def poly_coeffs_in_x(p, at_y=Fraction(0)) -> list[Fraction]:
-    """Coefficient list in x of a Poly2 with y frozen at a rational value."""
-    at_y = Fraction(at_y)
-    if not p.terms:
-        return []
-    coeffs = [Fraction(0)] * (max(i for i, _ in p.terms) + 1)
-    for (i, j), c in p.terms.items():
-        coeffs[i] += c * at_y**j
-    return coeffs

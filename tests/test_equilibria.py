@@ -14,8 +14,6 @@ from hypothesis import assume, given, settings
 from discflow import finite_equilibria as exported
 from discflow.equilibria import (
     _box_holds_zero,
-    _exquo,
-    _gcd,
     _integer,
     _power_bounds,
     _resultant,
@@ -25,7 +23,7 @@ from discflow.family import FamilyParams, build_system, global_cases
 from discflow.flow import finite_equilibria as from_flow
 from discflow.flow import global_center_verdict
 from discflow.poly import Poly2, VectorField, X, Y
-from discflow.roots import RealRoot, real_roots
+from discflow.roots import RealRoot, _divexact, _gcd, _mul, real_roots
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -96,22 +94,54 @@ def test_a_zero_component_is_a_common_factor(vf, want):
     assert finite_equilibria(vf, math.inf) == want
 
 
+_CIRCLE = (X - 3) * (X - 3) + (Y - 3) * (Y - 3) - F(1, 4)
+CURVE_FIELDS = [
+    VectorField(_CIRCLE * Y, -_CIRCLE * X),
+    build_system(FamilyParams.make(b1=1, c1=2, d1=1)),  # the vertical lines x = +/-1/2
+    VectorField(X * Y, X * (X - 1)),  # the vertical line x = 0
+    VectorField((Y - X * X) * (X + 2), (Y - X * X) * (Y + 3)),
+    VectorField(Poly2(), X * Y - 1),
+    VectorField(X * (X - 2) * (Y - 1), Poly2()),
+]
+family_fields = st.builds(
+    lambda values: build_system(FamilyParams.make(**values)),
+    st.fixed_dictionaries({name: st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                           for name in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")}))
+scales = st.builds(lambda sign, n, d: sign * F(n, d), st.sampled_from([1, -1]),
+                   st.integers(1, 10**30), st.integers(1, 10**20))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.sampled_from(CURVE_FIELDS), family_fields), scales, scales)
+def test_the_scan_does_not_depend_on_the_scale_of_p_and_q(vf, lam, mu):
+    # p and q are scaled to integer polynomials once; no step may read that scale
+    scaled = VectorField(vf.p * Poly2.const(lam), vf.q * Poly2.const(mu))
+    for radius in (math.inf, 1e3):
+        assert finite_equilibria(scaled, radius) == finite_equilibria(vf, radius)
+
+
+def _degree(a):
+    """Total degree of an integer form from `_integer`; -1 for zero."""
+    return max((j + len(row) - 1 for j, row in enumerate(a) if row), default=-1)
+
+
 def test_resultant_sign_when_the_degrees_differ():
     # degrees 1 and 3 in y: sympy's sign is (-1)**3 times the Sylvester determinant's
-    p, q = 2 * X * Y - 1, Y * Y * Y - X
-    want = [F(-1), F(0), F(0), F(0), F(8)]  # 8x^4 - 1 in either order
+    p, q = _integer(2 * X * Y - 1), _integer(Y * Y * Y - X)
+    want = [-1, 0, 0, 0, 8]  # 8x^4 - 1 in either order
     assert _resultant(p, q, "y") == want and _resultant(q, p, "y") == want
-    assert _resultant(Y - 1, Y * Y * Y - 2, "y") == [F(1)] == _resultant(Y * Y * Y - 2, Y - 1, "y")
+    p, q = _integer(Y - 1), _integer(Y * Y * Y - 2)
+    assert _resultant(p, q, "y") == [1] == _resultant(q, p, "y")
 
 
 def test_gcd_and_exact_division():
     g = (X - Y * Y) * (2 * X + 1)
-    p, q = g * (Y + 2), g * (X * Y - F(3, 5))
-    common = _gcd(p, q)
-    assert common.degree == 3 and _exquo(g, common).degree == 0
-    assert _exquo(p, common) * common == p and _exquo(q, common) * common == q
+    p, q = _integer(g * (Y + 2)), _integer(g * (X * Y - F(3, 5)))
+    common = _gcd(p, q)  # g or -g
+    assert _degree(common) == 3 and _divexact(_integer(g), common) in ([[1]], [[-1]])
+    assert _mul(_divexact(p, common), common) == p and _mul(_divexact(q, common), common) == q
     with pytest.raises(ArithmeticError):
-        _exquo(p, X + 7)
+        _divexact(p, _integer(X + 7))
 
 
 # -- the exact kernels against sympy's expression layer ------------------------------
@@ -171,16 +201,15 @@ def test_real_roots_match_the_expression_route(coeffs):
 def test_resultants_match_the_expression_route(p_terms, q_terms):
     p, q = Poly2(p_terms), Poly2(q_terms)
     assume(not p.is_zero and not q.is_zero)
+    p, q = _integer(p), _integer(q)
     x, y = sympy.symbols("x y")
 
-    def expr(h):
-        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-                           for (i, j), c in h.terms.items()])
+    def expr(a):
+        return sympy.Add(*[c * x**i * y**j for j, row in enumerate(a) for i, c in enumerate(row)])
 
     for eliminate, keep in ((y, x), (x, y)):
         want = sympy.Poly(sympy.resultant(expr(p), expr(q), eliminate), keep).all_coeffs()
-        got = _resultant(p, q, str(eliminate))
-        assert got == [F(int(c.p), int(c.q)) for c in reversed(want)]
+        assert _resultant(p, q, str(eliminate)) == [int(c) for c in reversed(want)]
 
 
 @settings(max_examples=80)
@@ -192,15 +221,16 @@ def test_a_common_factor_is_a_vanishing_resultant(p_terms, q_terms, g_terms):
     g = Poly2(g_terms)
     p, q = Poly2(p_terms) * g, Poly2(q_terms) * g
     assume(not p.is_zero and not q.is_zero)
+    p, q = _integer(p), _integer(q)
     vanishing = not any(_resultant(p, q, "x")) or not any(_resultant(p, q, "y"))
-    assert vanishing == (_gcd(p, q).degree >= 1)
+    assert vanishing == (_degree(_gcd(p, q)) >= 1)
 
 
 # -- the integer box check -----------------------------------------------------------
 
 
 def _holds_zero(p, bx, by, degree=3):
-    return _box_holds_zero(_integer(p)[0], _power_bounds(bx, degree), _power_bounds(by, degree))
+    return _box_holds_zero(_integer(p), _power_bounds(bx, degree), _power_bounds(by, degree))
 
 
 def _pow_range(lo, hi, k):
@@ -283,7 +313,7 @@ def test_huge_magnitudes_decide_exactly():
 
 
 def _roots(p, q, eliminate):
-    return [r for r, _ in real_roots(_resultant(p, q, eliminate))]
+    return [r for r, _ in real_roots(_resultant(_integer(p), _integer(q), eliminate))]
 
 
 def _next_cell(root):

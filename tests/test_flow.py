@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import struct
 import warnings
 from array import array
@@ -113,6 +114,8 @@ def complex_steps(vf: VectorField, x0, cfg: IntegratorConfig, traj, calls: list)
         while True:
             if not h_abs >= min_step:
                 raise StepUnderflow("Required step size is less than spacing between numbers.")
+            if h_abs == math.inf:
+                raise StepUnderflow("Required step size is infinite.")
             t1 = t + h_abs
             h = h_abs = t1 - t
             for i in range(1, 13):  # stage 12 is f at the step's end zn
@@ -490,6 +493,23 @@ class TestReturnMap:
         # the record holds no step, so a drawing samples nothing from it
         assert v.trajectory.accepted == 0
         assert v.trajectory.sample(5) == []
+
+    def test_equilibrium_start_ends_the_stream(self):
+        # the error is 0 at an equilibrium, so the step grows tenfold per step
+        # until it is inf; the stream must then end in StepUnderflow, not spin
+        def expire(signum, frame):
+            raise TimeoutError("the step stream from an equilibrium did not end")
+
+        traj, previous = flow.Trajectory(), signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(StepUnderflow, match="infinite"):
+                for _ in kernel_steps(LINEAR, (0.0, 0.0), CFG, traj):
+                    pass
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert traj.accepted == 315 and traj.rejected == 0 and math.isfinite(traj.t_end)
 
 
 class TestOrbitVerdict:

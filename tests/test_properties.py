@@ -22,7 +22,7 @@ from discflow.desing import linear_change, time_rescale, vertical_blowup
 from discflow.classify import classify_from_jacobian
 from discflow.family import FamilyParams, build_system, center_cases, global_cases
 from discflow.poly import Poly2, VectorField, X, Y
-from discflow.roots import RealRoot, poly_coeffs_in_x, real_roots
+from discflow.roots import RealRoot, real_roots
 
 from reference_systems import monomial_multiple
 
@@ -140,11 +140,11 @@ def chart_restriction_infinity(vf: VectorField) -> InfinityReport:
     line = all(monomial_multiple(comp, "y", 1) for comp in (u1.p, u1.q, u2.p, u2.q))
     equilibria = []
     if not line:
-        g1 = poly_coeffs_in_x(u1.p)
+        g1 = [u1.p.coefficient(i, 0) for i in range(u1.p.degree + 1)]
         if any(g1):
             for root, mult in real_roots(g1):
                 equilibria.append(InfinityEquilibrium(ChartId.U1, root, mult))
-        g2 = poly_coeffs_in_x(u2.p)
+        g2 = [u2.p.coefficient(i, 0) for i in range(u2.p.degree + 1)]
         if any(g2) and g2[0] == 0:
             mult = next(k for k, c in enumerate(g2) if c != 0)
             equilibria.append(InfinityEquilibrium(ChartId.U2, RealRoot.rational(0), mult))

@@ -63,7 +63,7 @@ class Trajectory:
     A step is t0, h, x, y, then (x, y) of its dense-output coefficients F0..F6
     (see `_dense`); an escaped orbit ends at its exit.  The start
     costs 2 field evaluations, an accepted step 15 (12 stages and the 3 extra
-    ones of the dense output) and a `rejected` attempt 12."""
+    ones of the dense output) and a `rejected` attempt 11 (no stage 12)."""
 
     steps: array = field(default_factory=lambda: array("d"))
     t_end: float = 0.0
@@ -76,22 +76,25 @@ class Trajectory:
 
     @property
     def nfev(self) -> int:
-        return 2 + 15 * self.accepted + 12 * self.rejected
+        return 2 + 15 * self.accepted + 11 * self.rejected
 
     def sample(self, n: int, t_end: float | None = None) -> list[tuple[float, float, float]]:
-        """n evenly spaced (t, x, y) over [0, t_end], by default the whole record."""
+        """n evenly spaced (t, x, y) over [0, t_end], by default the whole record, each by
+        `_dense`'s Horner form on the last step starting at or before t."""
         if not self.steps:
             return []
+        steps, last, i, end, out = self.steps, len(self.steps) - _STRIDE, -_STRIDE, -math.inf, []
         t_end = self.t_end if t_end is None else t_end
-        steps, last, i, step, out = self.steps, len(self.steps) - _STRIDE, 0, None, []
         for k in range(n):
             t = t_end * k / max(n - 1, 1)
-            # the last step starting at or before t: t never decreases
-            while i < last and not t < steps[i + _STRIDE]:
-                i, step = i + _STRIDE, None
-            if step is None:
-                step = steps[i : i + _STRIDE]
-            out.append((t, *_dense(step, t)))
+            while i < last and not t < end:  # t never decreases: a step is unpacked at most once
+                i += _STRIDE
+                t0, h, x, y, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = steps[i : i + _STRIDE]
+                end = steps[i + _STRIDE] if i < last else math.inf
+            s = (t - t0) / h
+            u = 1.0 - s
+            out.append((t, x + s * (a0 + u * (a1 + s * (a2 + u * (a3 + s * (a4 + u * (a5 + s * a6)))))),
+                        y + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6))))))))
         return out
 
 
@@ -243,6 +246,7 @@ def steps(traj, x, y, rtol, atol, r{coefficients}):
             h_abs, rejected = h_abs * (factor if factor > 0.2 else 0.2), True
             traj.rejected += 1
         xn, yn = x, y
+        k12x, k12y = {field}
 {dense_stages}
         f0x, f0y = xn - zx, yn - zy
         step = (t, h, zx, zy, f0x, f0y, h * k0x - f0x, h * k0y - f0y,
@@ -273,17 +277,19 @@ def _kernel(shape: tuple[str, str]):
     a coordinate in place.  After an outward crossing of the escape radius r the
     step is cut at the exit and the stream ends; a step below 10 float spacings
     of t, or an infinite one (from an equilibrium, where the error is 0 and the
-    step grows tenfold per step), raises StepUnderflow.  field(x, y, c0, ...) is
-    (p, q) at (x, y).
+    step grows tenfold per step), raises StepUnderflow.  An attempt takes stages 1
+    to 11; stage 12, f at the step's end, enters no error estimate, so only an
+    accepted step takes it.  field(x, y, c0, ...) is (p, q) at (x, y).
     """
     field = "{}, {}".format(*shape)
 
     def total(row: dict, name: str) -> str:  # sum(a * name_j) over a row, name like 'k{}x'
         return " + ".join(f"{a!r}*{name.format(j)}" for j, a in row.items()).replace("+ -", "- ")
 
-    def stages(rows, indent):
+    def stages(rows, indent):  # each row's state and its k, but no k at the step's end (row 12)
         return "\n".join(f"{indent}x, y = zx + h * ({total(_A[i], 'k{}x')}), zy + h * ("
-                         f"{total(_A[i], 'k{}y')})\n{indent}k{i}x, k{i}y = {field}" for i in rows)
+                         f"{total(_A[i], 'k{}y')})" + f"\n{indent}k{i}x, k{i}y = {field}" * (i != 12)
+                         for i in rows)
 
     source = _LOOP.format(
         coefficients="".join(f", c{k}" for k in range("".join(shape).count("c"))), field=field,

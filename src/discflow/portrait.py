@@ -103,10 +103,6 @@ def render_portrait(
     cx, cy = spec.width / 2.0, spec.height / 2.0
     scale = min(spec.width, spec.height) / 2.0 - MARGIN
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        dx, dy = disc_projection(x, y)
-        return cx + scale * dx, cy - scale * dy
-
     svg.circle(cx, cy, scale, stroke="#000000", width=1.5)
 
     for _, orbit in verdict.samples:
@@ -114,15 +110,18 @@ def render_portrait(
         if traj is None or not traj.steps:
             continue
         t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
-        # to_px inlined; a point lies at least MARGIN inside the image, so no -0.000
-        samples = traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
-        pts = ((x, y, 1.0 / (1.0 + math.hypot(x, y))) for _, x, y in samples)
-        coords = " ".join(f"{cx + scale * (x * q):.3f},{cy - scale * (y * q):.3f}" for x, y, q in pts)
+        # disc_projection inlined, one format per polyline; a point lies at least MARGIN
+        # inside the image, so no -0.000
+        flat = []
+        for _, x, y in traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end)):
+            q = 1.0 / (1.0 + math.hypot(x, y))
+            flat += (cx + scale * (x * q), cy - scale * (y * q))
+        coords = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
         svg.polyline(coords, VERDICT_COLORS[orbit.tag], STROKE_WIDTH)
 
     for eq in verdict.extra_equilibria:
-        ex, ey = to_px(eq[0], eq[1])
-        svg.dot(ex, ey, 3.0, "#c53030")
+        dx, dy = disc_projection(*eq)
+        svg.dot(cx + scale * dx, cy - scale * dy, 3.0, "#c53030")
     svg.dot(cx, cy, 3.0, "#000000")
 
     if infinity.line_of_equilibria:

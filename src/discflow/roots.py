@@ -54,10 +54,12 @@ class RealRoot:
         return cls(kind="interval", lo=Fraction(lo), hi=Fraction(hi))
 
     def approx(self) -> float:
+        """The float nearest the root (an interval's midpoint); OverflowError past float range."""
         if self.kind == "rational":
             return float(self.a)
-        if self.kind == "surd":
-            return float(self.a) + float(self.b) * math.sqrt(float(self.r))
+        if self.kind == "surd":  # the cell's midpoint, rounded once, rounds as the root does
+            k, e = self._cell()
+            return (2 * k + 1) / 2 ** (e + 1)
         return float((self.lo + self.hi) / 2)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -66,14 +68,27 @@ class RealRoot:
             return self.a, self.a
         if self.kind == "interval":
             return self.lo, self.hi
-        # rational enclosure of sqrt(r) to ~1e-15 via integer isqrt
-        scale = 10**18
-        num = self.r.numerator * scale * scale
-        root_lo = Fraction(math.isqrt(num // self.r.denominator), scale)
-        root_hi = root_lo + Fraction(2, scale)
-        lo = self.a + min(self.b * root_lo, self.b * root_hi)
-        hi = self.a + max(self.b * root_lo, self.b * root_hi)
-        return lo, hi
+        k, e = self._cell()
+        return Fraction(k, 2**e), Fraction(k + 1, 2**e)
+
+    def _cell(self) -> tuple[int, int]:
+        """(k, e): the surd lies strictly inside the cell [k, k + 1] / 2**e, no wider
+        than 2**-64 nor than 2**-64 of the root, so no float's rounding boundary
+        lies inside it.  In integers the root is (p + q*sqrt(n)) / m; when p
+        and q have opposite signs its conjugate form (p**2 - q**2*n) / (p - q*sqrt(n))
+        bounds its size from below with no cancellation."""
+        a, b, r = self.a, self.b, self.r
+        d = math.lcm(a.denominator, b.denominator)
+        p, q = a.numerator * (d // a.denominator) * r.denominator, b.numerator * (d // b.denominator)
+        n, m = r.numerator * r.denominator, d * r.denominator
+        if p * q < 0:
+            top, bottom = abs(p * p - q * q * n), abs(p) + abs(q) * (math.isqrt(n) + 1)
+        else:
+            top, bottom = abs(p) + abs(q) * math.isqrt(n), 1
+        # |root| >= top / (bottom * m) > 2**(top.bit_length() - 1 - (bottom * m).bit_length())
+        e = 64 + max(0, 1 - top.bit_length() + (bottom * m).bit_length())
+        root = math.isqrt(q * q * n << 2 * e)  # floor(|q| * sqrt(n) * 2**e); n is no square
+        return ((p << e) + (root if q > 0 else -root - 1)) // m, e
 
     def exact_str(self) -> str:
         if self.kind == "rational":

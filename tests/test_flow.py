@@ -118,9 +118,9 @@ def complex_steps(vf: VectorField, x0, cfg: IntegratorConfig, traj, calls: list)
                 raise StepUnderflow("Required step size is infinite.")
             t1 = t + h_abs
             h = h_abs = t1 - t
-            for i in range(1, 13):  # stage 12 is f at the step's end zn
-                zn = z + h * combo(flow._A[i], k)
-                k[i] = f(zn)
+            for i in range(1, 12):
+                k[i] = f(z + h * combo(flow._A[i], k))
+            zn = z + h * combo(flow._A[12], k)  # the step's end, where stage 12 is taken once accepted
             d = {j: k[j] - k[0] for j in flow._E5}
             err5, err3 = combo(flow._E5, d), combo(flow._E3, d)
             ax, ay = abs(zn.real), abs(zn.imag)
@@ -136,6 +136,7 @@ def complex_steps(vf: VectorField, x0, cfg: IntegratorConfig, traj, calls: list)
             h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
             traj.rejected += 1
+        k[12] = f(zn)
         for i in (13, 14, 15):
             k[i] = f(z + h * combo(flow._A[i], k))
         f0 = zn - z
@@ -300,12 +301,13 @@ class TestEngineMatchesScipy:
         # drift apart by up to about 2e-7 over these 160 to 690 steps
         assert abs(len(starts) - len(ends)) <= 1
         assert max(abs(a - b) for a, b in zip(starts[1:], ends)) < 1e-6
-        # the record's counters: 12 field evaluations per attempt, 2 for the first
-        # step, and the 3 extra stages on every accepted step, which scipy takes
-        # only in dense_output (3 more); no step of the linear field is rejected
+        # the record's counters: 11 field evaluations per attempt, 2 for the first
+        # step, and stage 12 and the 3 extra stages on every accepted step; scipy
+        # takes stage 12 on every attempt too, and the 3 extra ones only in
+        # dense_output (3 more); no step of the linear field is rejected
         assert traj.accepted == len(starts) and abs(traj.rejected - rejected) <= 1
         assert (traj.rejected > 0) == (vf is not LINEAR)
-        nfev = traj.nfev - 3 * traj.accepted
+        nfev = traj.nfev - 3 * traj.accepted + traj.rejected
         assert abs(traj.accepted - len(ends)) <= 1 and abs(nfev - solver.nfev) <= 12
         # the end state, and the dense output inside the last step
         for t in (t_final, 0.5 * (dense.t_old + dense.t)):
@@ -388,12 +390,20 @@ class TestRecord:
         assert v.to_json() == bare.to_json() and "trajectory" not in v.to_json()
         assert repr(v) == repr(bare)
 
-    @pytest.mark.parametrize("n", [1, 2, 600])
+    @pytest.mark.parametrize("n", [1, 2, 3, 600])
     def test_sample_matches_the_bisecting_reader(self, n):
         control = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
-        escaping = orbit_verdict(control, (1.0, 1.0), CFG)
-        for traj in (orbit_verdict(LINEAR, (0.0, 1.0), CFG).trajectory, escaping.trajectory):
-            for t_end in (None, 0.37 * traj.t_end, traj.t_end + 5.0):
+        escaping = orbit_verdict(control, (1.0, 1.0), CFG).trajectory
+        t0, h = escaping.steps[-flow._STRIDE : 2 - flow._STRIDE]
+        assert escaping.escaped and escaping.t_end < t0 + h  # its last step is cut at the exit
+        periodic = orbit_verdict(LINEAR, (0.0, 1.0), CFG).trajectory
+        one_step = flow.Trajectory(periodic.steps[: flow._STRIDE], periodic.steps[flow._STRIDE])
+        for traj in (periodic, escaping, one_step):
+            starts = traj.steps[flow._STRIDE :: flow._STRIDE][:3]
+            # with t_end a step's start, or twice it, the last of 2 or the middle of 3 samples is on it
+            assert all(traj.sample(2, t)[1][0] == traj.sample(3, 2 * t)[1][0] == t for t in starts)
+            on_starts = [t * f for t in starts for f in (1.0, 2.0)]
+            for t_end in (None, 0.0, 0.37 * traj.t_end, traj.t_end + 5.0, *on_starts):
                 assert traj.sample(n, t_end) == bisect_sample(traj, n, t_end)
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["steps", "overflow"])

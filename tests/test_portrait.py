@@ -3,6 +3,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from test_flow import bisect_sample
 
 from discflow import flow
 from discflow.compactify import infinite_equilibria
@@ -93,7 +94,8 @@ def _polylines(svg: str, stroke: str) -> list[list[tuple[float, float]]]:
 
 
 def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
-    """The polylines' points drawn point by point through to_px and the -0.000 rule."""
+    """The polylines' points drawn point by point, each read off its record by the
+    bisecting reader, through to_px and the -0.000 rule."""
     cx, cy = spec.width / 2.0, spec.height / 2.0
     scale = min(spec.width, spec.height) / 2.0 - MARGIN
 
@@ -111,7 +113,7 @@ def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
         if traj is None or not traj.steps:
             continue
         t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
-        samples = traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
+        samples = bisect_sample(traj, SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
         pts = [to_px(x, y) for _, x, y in samples]
         lines.append(" ".join(f"{fmt(px)},{fmt(py)}" for px, py in pts))
     return lines
@@ -124,13 +126,17 @@ class TestDrawnFromRecords:
             (dict(b1=-1, c1=4, d1=-3), PortraitSpec()),
             (dict(b2=1, d2=1), PortraitSpec(width=33, height=200)),
             (dict(b1=1, c1=-4, d1=3), PortraitSpec(width=300, height=120)),
+            (dict(c1=2), PortraitSpec(width=200, height=260)),
         ],
-        ids=["control", "line-at-infinity", "global"],
+        ids=["control", "line-at-infinity", "global", "inconclusive"],
     )
     def test_polylines_match_the_reference_drawing(self, base, spec):
         params = FamilyParams.make(**base)
         vf = build_system(params)
         verdict = global_center_verdict(params, sample_radii=(0.5, 2.0), angles=4)
+        if base == dict(c1=2):  # two orbits that never reach the section, drawn to EXTRA_TIME
+            long = [v for _, v in verdict.samples if v.tag == "inconclusive"]
+            assert len(long) == 2 and all(v.trajectory.t_end > EXTRA_TIME for v in long)
         svg = render_portrait(vf, verdict, infinite_equilibria(vf), spec)
         lines = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
         drawn = [line.get("points") for line in lines]

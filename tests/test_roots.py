@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -84,6 +85,50 @@ def test_high_degree_with_multiplicity():
     assert data == [(-2.0, 1), (0.0, 3), (1.0, 2)]
 
 
+def _surd_is_enclosed(coeffs, root):
+    """root's bounds hold a sign change of c + b*x + a*x**2 and the float nearest root, which
+    approx() is, or approx() raises OverflowError and the bounds lie past float range."""
+    c, b, a = coeffs
+    lo, hi = root.bounds()
+    assert lo < hi and (c + b * lo + a * lo * lo) * (c + b * hi + a * hi * hi) < 0
+    try:
+        approx = root.approx()
+    except OverflowError:
+        assert min(abs(lo), abs(hi)) > 2**1023
+        return
+    assert float(lo) <= approx <= float(hi)
+    assert abs(F(approx) - (lo + hi) / 2) <= math.ulp(approx)
+
+
+@pytest.mark.parametrize("a", [1e-20, 1e-200, 1e-320, 5e-324])
+def test_surd_approx_is_the_nearest_float(a):
+    # a*x^2 + x + 1: a + b*sqrt(r) summed as floats cancels to 0.0 at the root near -1,
+    # -1 - a - 2a^2 - ..., or overflows; only the root near -1/a may be past float range
+    (far, _), (near, _) = quadratic_roots(a, 1, 1)
+    assert far.kind == near.kind == "surd" and near.approx() == -1.0
+    lo, hi = near.bounds()
+    assert hi - lo < F(1, 2**63) and lo < -1 - F(a) < hi
+    for root in (far, near):
+        _surd_is_enclosed([1, 1, F(a)], root)
+    if a > 1e-300:
+        assert far.approx() == float(-1 / F(a))
+    else:
+        with pytest.raises(OverflowError):
+            far.approx()
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=3, max_size=3),
+    st.lists(st.integers(-330, 330), min_size=3, max_size=3),
+)
+def test_surd_bounds_hold_the_root_and_its_float(mantissas, exponents):
+    coeffs = [F(m) * F(10) ** e for m, e in zip(mantissas, exponents)]
+    for root, _ in quadratic_roots(*reversed(coeffs)):
+        if root.kind == "surd":
+            _surd_is_enclosed(coeffs, root)
+
+
 def test_quadratic_roots_linear_and_empty():
     assert quadratic_roots(0, 2, -4)[0][0].a == 2
     assert quadratic_roots(0, 0, 5) == []
@@ -135,8 +180,8 @@ def test_roots_sharing_a_cell_get_finer_cells():
     for root, square in zip(positive, (2, 2 + eps)):
         assert _cell(root.lo, root.hi) > 40
         assert root.lo**2 < square < root.hi**2
-    # a rational root 2**-60 from sqrt(2), inside its 2**-40 cell, pushes that cell finer
-    lo, hi = real_roots([F(-2), F(0), F(1)])[1][0].bounds()  # sqrt(2) to 2e-18
+    # a rational root within 2**-65 of sqrt(2), inside its 2**-40 cell, pushes that cell finer
+    lo, hi = real_roots([F(-2), F(0), F(1)])[1][0].bounds()  # sqrt(2) to 2**-65
     r = (3 * lo + hi) / 4
     roots = real_roots([2 * r, F(-2), -r, F(1)])  # (x - r)(x^2 - 2)
     (rational,) = [root for root, _ in roots if root.kind == "rational"]

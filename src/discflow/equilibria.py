@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .poly import Poly2, VectorField
-from .roots import _divexact, _gcd, real_roots
+from .roots import RealRoot, _divexact, _gcd, real_roots
 
 _PROBES = tuple(Fraction(v) for v in (0, 1, -1, Fraction(1, 2), -Fraction(1, 2), 2, -2))
 
@@ -95,24 +95,30 @@ def _gap_probes(g: list):
     yield from [hi + 1 for _, hi in bounds[-1:]]
 
 
+def _within(root: RealRoot, radius: float) -> bool:
+    """|root| <= radius, on the exact enclosure first: a root past a finite radius reads no float."""
+    return root.lo <= radius and -radius <= root.hi and abs(root.approx()) <= radius
+
+
 def _curve_points(g: list, radius: float) -> list[tuple[float, float]]:
     """Points of the curve g = 0 (g an integer form) within the radius, the origin left out.
 
     A vertical line in the curve, x = c for a real root c of g's content in y,
-    gives (c, 0), or (0, 1) when c = 0; the rest of the curve gives the first
-    point found on the probe lines x = 0, ±1, ±1/2, ±2 or, when none of them
-    meets it, on the lines of `_gap_probes`.
+    gives (c, 0), or (0, min(1, radius)) when c = 0; the rest of the curve gives
+    the first point found on the probe lines x = 0, ±1, ±1/2, ±2 or, when none
+    of them meets it, on the lines of `_gap_probes`.
     """
-    lines = [r.approx() for r, _ in real_roots(reduce(_gcd, g))]  # content in x of g's rows
-    points = [(c, 0.0) if c else (0.0, 1.0) for c in lines]
+    lines = [r.approx() for r, _ in real_roots(reduce(_gcd, g)) if _within(r, radius)]  # content in y
+    points = [(c, 0.0) if c else (0.0, min(1.0, radius)) for c in lines]
     for x0 in itertools.chain(_PROBES, _gap_probes(g)):
         coeffs = [sum(c * x0**i for i, c in enumerate(row)) for row in g]  # g(x0, y), in y
-        on_line = [(float(x0), r.approx()) for r, _ in real_roots(coeffs)] if any(coeffs[1:]) else []
+        roots = real_roots(coeffs) if any(coeffs[1:]) and abs(x0) <= radius else []
+        on_line = [(float(x0), r.approx()) for r, _ in roots if _within(r, radius)]
         on_line = [pt for pt in on_line if 0 < math.hypot(*pt) <= radius]
         if on_line:
             points.append(on_line[0])
             break
-    return [pt for pt in points if math.hypot(*pt) <= radius]
+    return [pt for pt in points if 0 < math.hypot(*pt) <= radius]
 
 
 # Monomial-wise bounds of a polynomial over a box, in integers: p is scaled by
@@ -172,8 +178,8 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
         rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
         return sorted(set(found))
-    xs = [r for r, _ in real_roots(rx) if abs(r.approx()) <= radius]
-    ys = [r for r, _ in real_roots(ry) if abs(r.approx()) <= radius]
+    xs = [r for r, _ in real_roots(rx) if _within(r, radius)]
+    ys = [r for r, _ in real_roots(ry) if _within(r, radius)]
     x_degree, y_degree = max(len(row) for h in (p, q) for row in h) - 1, max(len(p), len(q)) - 1
     y_powers = [_power_bounds(r.bounds(), y_degree) for r in ys]
     for rx_root in xs:

@@ -475,7 +475,10 @@ def global_center_verdict(
     vf = build_system(params)
     _shape(vf)  # a coefficient beyond float range raises OverflowError before the scans
     infinity = infinite_equilibria(vf)
-    extra = tuple(finite_equilibria(vf, math.inf))
+    try:
+        extra = tuple(finite_equilibria(vf, math.inf))
+    except OverflowError as exc:  # found exactly, but the verdict holds its points as floats
+        raise ValueError("an extra finite equilibrium lies beyond float range") from exc
     samples = [(pt, orbit_verdict(vf, pt, cfg)) for pt in sample_points(radii, angles)]
     escaping = [pt for pt, v in samples if v.tag == "escaping"]
     if escaping or extra:

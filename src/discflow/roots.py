@@ -7,9 +7,10 @@ signs with bisection and exact signs at dyadic points.  A root found there is
 `rational` exactly when it is rational; an irrational one is reported as its
 dyadic cell [k, k + 1] / 2**40 (2**-40 < 1e-12), halved until no other root
 lies in it, so its endpoints depend on the root alone and `approx()`, the
-midpoint, is an exact float for |root| < 2**12.  Both forms share the
-`RealRoot` carrier so downstream code can print an exact string or take a
-float approximation without caring which case it got.  Input is a plain
+midpoint, is an exact float for |root| < 2**12.  Every kind shares the
+`RealRoot` carrier and its exact enclosure [lo, hi] (a rational's is the point,
+a surd's its cell), so downstream code reads a float, a bound or a sign off lo
+and hi without caring which case it got.  Input is a plain
 coefficient list, lowest first; the dense integer kernels also serve the
 equilibrium scan's Z[x][y], and no bivariate format is read here.
 """
@@ -27,10 +28,11 @@ CELL_BITS = 40  # an irrational root's cell is [k, k + 1] / 2**40, 2**-40 < 1e-1
 
 @dataclass(frozen=True)
 class RealRoot:
-    """Exact-or-interval real algebraic number.
+    """Exact-or-interval real algebraic number, with its exact enclosure [lo, hi].
 
-    kind 'rational':  value == a
-    kind 'surd':      value == a + b*sqrt(r) with r > 0 not a perfect square
+    kind 'rational':  value == a == lo == hi
+    kind 'surd':      value == a + b*sqrt(r) with r > 0 not a perfect square,
+                      strictly inside its cell [lo, hi] (see `_cell`)
     kind 'interval':  value lies in [lo, hi], hi - lo <= 1e-12
     """
 
@@ -43,52 +45,26 @@ class RealRoot:
 
     @classmethod
     def rational(cls, value) -> "RealRoot":
-        return cls(kind="rational", a=Fraction(value))
+        value = Fraction(value)
+        return cls(kind="rational", a=value, lo=value, hi=value)
 
     @classmethod
     def surd(cls, a, b, r) -> "RealRoot":
-        return cls(kind="surd", a=Fraction(a), b=Fraction(b), r=Fraction(r))
+        a, b, r = Fraction(a), Fraction(b), Fraction(r)
+        return cls("surd", a, b, r, *_cell(a, b, r))
 
     @classmethod
     def interval(cls, lo, hi) -> "RealRoot":
         return cls(kind="interval", lo=Fraction(lo), hi=Fraction(hi))
 
     def approx(self) -> float:
-        """The float nearest the root (an interval's midpoint); OverflowError past float range."""
-        if self.kind == "rational":
-            return float(self.a)
-        if self.kind == "surd":  # the cell's midpoint, rounded once, rounds as the root does
-            k, e = self._cell()
-            return (2 * k + 1) / 2 ** (e + 1)
+        """The enclosure's midpoint, rounded once: the root itself for a rational, the
+        float nearest it for a surd; OverflowError past float range."""
         return float((self.lo + self.hi) / 2)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        """Rational enclosure; exact kinds may return a degenerate interval."""
-        if self.kind == "rational":
-            return self.a, self.a
-        if self.kind == "interval":
-            return self.lo, self.hi
-        k, e = self._cell()
-        return Fraction(k, 2**e), Fraction(k + 1, 2**e)
-
-    def _cell(self) -> tuple[int, int]:
-        """(k, e): the surd lies strictly inside the cell [k, k + 1] / 2**e, no wider
-        than 2**-64 nor than 2**-64 of the root, so no float's rounding boundary
-        lies inside it.  In integers the root is (p + q*sqrt(n)) / m; when p
-        and q have opposite signs its conjugate form (p**2 - q**2*n) / (p - q*sqrt(n))
-        bounds its size from below with no cancellation."""
-        a, b, r = self.a, self.b, self.r
-        d = math.lcm(a.denominator, b.denominator)
-        p, q = a.numerator * (d // a.denominator) * r.denominator, b.numerator * (d // b.denominator)
-        n, m = r.numerator * r.denominator, d * r.denominator
-        if p * q < 0:
-            top, bottom = abs(p * p - q * q * n), abs(p) + abs(q) * (math.isqrt(n) + 1)
-        else:
-            top, bottom = abs(p) + abs(q) * math.isqrt(n), 1
-        # |root| >= top / (bottom * m) > 2**(top.bit_length() - 1 - (bottom * m).bit_length())
-        e = 64 + max(0, 1 - top.bit_length() + (bottom * m).bit_length())
-        root = math.isqrt(q * q * n << 2 * e)  # floor(|q| * sqrt(n) * 2**e); n is no square
-        return ((p << e) + (root if q > 0 else -root - 1)) // m, e
+        """The exact enclosure (lo, hi); lo == hi for a rational."""
+        return self.lo, self.hi
 
     def exact_str(self) -> str:
         if self.kind == "rational":
@@ -105,12 +81,31 @@ class RealRoot:
         out = {"interval": [str(self.lo), str(self.hi)]} if self.kind == "interval" else {
             "exact": self.exact_str()}
         with suppress(OverflowError):
-            if math.isfinite(approx := self.approx()):
-                out["approx"] = approx
+            out["approx"] = self.approx()
         return out
 
     def __repr__(self) -> str:
         return f"RealRoot({self.exact_str()})"
+
+
+def _cell(a: Fraction, b: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
+    """The cell [k, k + 1] / 2**e that holds a + b*sqrt(r) strictly inside, no wider
+    than 2**-64 nor than 2**-64 of the root, so no float's rounding boundary lies
+    inside it and it never holds 0.  In integers the root is (p + q*sqrt(n)) / m;
+    when p and q have opposite signs its conjugate form (p**2 - q**2*n) / (p - q*sqrt(n))
+    bounds its size from below with no cancellation."""
+    d = math.lcm(a.denominator, b.denominator)
+    p, q = a.numerator * (d // a.denominator) * r.denominator, b.numerator * (d // b.denominator)
+    n, m = r.numerator * r.denominator, d * r.denominator
+    if p * q < 0:
+        top, bottom = abs(p * p - q * q * n), abs(p) + abs(q) * (math.isqrt(n) + 1)
+    else:
+        top, bottom = abs(p) + abs(q) * math.isqrt(n), 1
+    # |root| >= top / (bottom * m) > 2**(top.bit_length() - 1 - (bottom * m).bit_length())
+    e = 64 + max(0, 1 - top.bit_length() + (bottom * m).bit_length())
+    root = math.isqrt(q * q * n << 2 * e)  # floor(|q| * sqrt(n) * 2**e); n is no square
+    k = ((p << e) + (root if q > 0 else -root - 1)) // m
+    return Fraction(k, 2**e), Fraction(k + 1, 2**e)
 
 
 def quadratic_roots(a, b, c) -> list[tuple[RealRoot, int]]:
@@ -338,14 +333,6 @@ def real_roots(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
         out = sorted(_isolate_high_degree(coeffs), key=lambda pair: pair[0].bounds())
     else:  # degree <= 2: closed forms, in order
         out = quadratic_roots(*reversed(coeffs + [Fraction(0)] * (3 - len(coeffs))))
-    if shift:  # 0 is no root of the rest: it goes after the negative ones
-        out.insert(sum(_is_negative(root) for root, _ in out), (RealRoot.rational(0), shift))
+    if shift:  # 0 is no root of the rest, and no enclosure holds it: it goes after hi <= 0
+        out.insert(sum(root.hi <= 0 for root, _ in out), (RealRoot.rational(0), shift))
     return out
-
-
-def _is_negative(root: RealRoot) -> bool:
-    """Whether a nonzero root is negative, exactly."""
-    if root.kind == "interval":
-        return root.hi <= 0  # a cell lies on one side of 0
-    a, b = root.a, root.b  # b = 0 for a rational; a + b*sqrt(r) has the sign of the larger square
-    return (a if a * a > b * b * root.r else b) < 0

@@ -364,6 +364,8 @@ BAD_INPUTS = {
     "unprintable-param": ("compactify", "--params", "{unprintable_param}"),
     "param-beyond-float-verify": ("verify", "--params", "{float_param}"),
     "param-beyond-float-portrait": ("portrait", "--params", "{float_param}"),
+    "equilibrium-beyond-float-verify": ("verify", "--params", "{far_param}"),
+    "equilibrium-beyond-float-portrait": ("portrait", "--params", "{far_param}"),
     "zero-denominator-radius": ("verify", "--params", "{params}", "--radii", "1/0"),
     "overflowing-radius": ("verify", "--params", "{params}", "--radii", "1e400"),
     "unwritable-out": ("decide", "--params", "{params}", "--out", "{missing_dir}/x.json"),
@@ -402,6 +404,7 @@ PARAM_FILES = {
     "deep_param": "[" * 5000 + "]" * 5000,
     "unprintable_param": '{"b1": "1e5000"}',
     "float_param": '{"b1": "1e400"}',
+    "far_param": '{"d1": "1/1%s"}' % ("0" * 700),  # the extra equilibria (+-10**350, 0)
     "list_param": "[]",
     "string_param": '"1"',
     "null_param": "null",
@@ -420,6 +423,19 @@ def test_exact_commands_accept_a_param_beyond_float_range(tmp_path, capsys):
     assert main(["compactify", "--params", params]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["params"]["b1"] == str(10**400) and out["chart_field"]["n_used"] == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "portrait"])
+def test_an_equilibrium_past_float_range_is_named(tmp_path, capsys, command):
+    # the parameters are in float range; the extra equilibria (+-10**350, 0) are not
+    params = tmp_path / "far.json"
+    params.write_text(PARAM_FILES["far_param"])
+    assert main(["decide", "--params", str(params)]) == 1
+    capsys.readouterr()
+    assert main([command, "--params", str(params)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: an extra finite equilibrium lies beyond float range\n"
+    assert "parameters" not in err
 
 
 def test_compactify_keeps_roots_past_float_range(tmp_path, capsys):

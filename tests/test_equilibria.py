@@ -63,6 +63,14 @@ def test_vertical_line_through_the_origin():
     assert all(vf.is_equilibrium((F(px), F(py))) for px, py in pts)
 
 
+def test_the_line_through_the_origin_within_a_small_radius():
+    # x = 0 is a line of equilibria: below radius 1 it is witnessed at (0, radius), never at the origin
+    vf = VectorField(X * (Y + 2), X * (X - Y + 3))
+    assert finite_equilibria(vf, 0.5) == [(0.0, 0.5)]
+    assert finite_equilibria(vf, 0.0) == []
+    assert finite_equilibria(vf, 1e3) == finite_equilibria(vf, math.inf) == [(-5.0, -2.0), (0.0, 1.0)]
+
+
 def test_curve_through_the_origin_is_witnessed_elsewhere():
     # the parabola y = x^2 of equilibria passes through the origin
     g = Y - X * X
@@ -347,6 +355,28 @@ def test_a_surd_x_paired_with_a_cell_y():
 
 
 # -- the scan and the verdict --------------------------------------------------------
+
+
+_FAR_LINES = 1 - F(1, 10**700) * X * X  # the lines x = +-10**350
+_FAR_CIRCLE = (X - 10**400) ** 2 + Y * Y - 1  # the unit circle around (10**400, 0)
+FAR_FIELDS = [
+    build_system(FamilyParams.make(d1=F(1, 10**700))),  # the equilibria (+-10**350, 0)
+    VectorField(Y * _FAR_LINES, -X * _FAR_LINES * (1 + X * X)),
+    VectorField(_FAR_CIRCLE * Y, -_FAR_CIRCLE * X),  # its probe lines lie past float range
+]
+
+
+@pytest.mark.parametrize("vf", FAR_FIELDS)
+def test_roots_past_float_range_lie_outside_a_finite_radius(vf):
+    # the enclosures place every root past the radius before any float is read
+    assert finite_equilibria(vf, 1e3) == []
+    with pytest.raises(OverflowError):  # with no radius the points must be read as floats
+        finite_equilibria(vf, math.inf)
+
+
+def test_the_verdict_names_an_equilibrium_past_float_range():
+    with pytest.raises(ValueError, match="an extra finite equilibrium lies beyond float range"):
+        global_center_verdict(FamilyParams.make(d1=F(1, 10**700)), sample_radii=(0.5,), angles=2)
 
 
 @settings(max_examples=40)

@@ -229,3 +229,61 @@ def test_roots_are_invariant_under_positive_rescaling(coeffs, scale, shift):
     scaled = [scale * c for c in coeffs]
     expect = [(r.to_json(), m) for r, m in real_roots(coeffs)]
     assert [(r.to_json(), m) for r, m in real_roots(scaled)] == expect
+
+
+def _value(coeffs, x):
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
+def _sign_is_negative(root):
+    """Whether a nonzero root is negative, from its exact form; an interval's cell,
+    which holds the root, must lie on one side of 0."""
+    if root.kind == "interval":
+        assert root.hi <= 0 or root.lo >= 0
+        return root.hi <= 0
+    a, b = root.a, root.b  # b = 0 for a rational; a + b*sqrt(r) has the sign of the larger square
+    return (a if a * a > b * b * root.r else b) < 0
+
+
+@st.composite
+def wide_polynomials(draw):
+    """Integer or rational polynomials of degree 1-7, coefficients m * 10**e under a
+    common scale 10**E, |E| <= 300, times an optional x**k.  The spread of e is up to
+    +-300 on degree <= 2, so roots lie past float range, and +-20 above it; a cubic
+    may be squared, so irrational roots come with multiplicity 2."""
+    degree, squared = draw(st.integers(1, 7)), draw(st.booleans())
+    mantissas = (st.integers(-50, 50).map(F) if draw(st.booleans())
+                 else st.fractions(-20, 20, max_denominator=30))
+    spread = 300 if degree <= 2 else 20
+    scale = F(10) ** draw(st.integers(-300, 300))
+    coeffs = [draw(mantissas) * F(10) ** draw(st.integers(-spread, spread)) * scale
+              for _ in range(degree + 1)]
+    assume(any(coeffs))
+    if squared and degree == 3:
+        coeffs = [sum(coeffs[i] * coeffs[k - i] for i in range(max(0, k - 3), min(k, 3) + 1))
+                  for k in range(7)]
+    return [F(0)] * draw(st.integers(0, 3)) + coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_polynomials())
+def test_every_root_carries_its_exact_enclosure(coeffs):
+    for root, mult in real_roots(coeffs):
+        lo, hi = root.bounds()
+        assert (lo, hi) == (root.lo, root.hi) and lo <= hi
+        if root.kind == "rational":
+            assert lo == hi == root.a
+        else:  # the (mult - 1)-th derivative has a simple root there; x**k may vanish at lo or hi
+            deriv = coeffs[next(k for k, c in enumerate(coeffs) if c):]
+            for _ in range(mult - 1):
+                deriv = [k * c for k, c in enumerate(deriv)][1:]
+            assert _value(deriv, lo) * _value(deriv, hi) < 0
+        try:
+            midpoint = float((lo + hi) / 2)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                root.approx()
+        else:
+            assert root.approx() == midpoint
+        if lo or hi:
+            assert (hi <= 0) == _sign_is_negative(root)

@@ -95,12 +95,13 @@ def _gap_probes(g: list):
     yield from [hi + 1 for _, hi in bounds[-1:]]
 
 
-def _within(root: RealRoot, radius: float) -> bool:
-    """|root| <= radius, on the exact enclosure first: a root past a finite radius reads no float."""
-    return root.lo <= radius and -radius <= root.hi and abs(root.approx()) <= radius
+def _within(root: RealRoot, radius: float, exact: Fraction | float) -> bool:
+    """|root| <= radius, on the enclosure first against exact, the radius as a Fraction
+    or inf: a root past a finite radius reads no float."""
+    return root.lo <= exact and -exact <= root.hi and abs(root.approx()) <= radius
 
 
-def _curve_points(g: list, radius: float) -> list[tuple[float, float]]:
+def _curve_points(g: list, radius: float, exact: Fraction | float) -> list[tuple[float, float]]:
     """Points of the curve g = 0 (g an integer form) within the radius, the origin left out.
 
     A vertical line in the curve, x = c for a real root c of g's content in y,
@@ -108,12 +109,13 @@ def _curve_points(g: list, radius: float) -> list[tuple[float, float]]:
     the first point found on the probe lines x = 0, ±1, ±1/2, ±2 or, when none
     of them meets it, on the lines of `_gap_probes`.
     """
-    lines = [r.approx() for r, _ in real_roots(reduce(_gcd, g)) if _within(r, radius)]  # content in y
+    content = reduce(_gcd, g)  # g's content in y
+    lines = [r.approx() for r, _ in real_roots(content) if _within(r, radius, exact)]
     points = [(c, 0.0) if c else (0.0, min(1.0, radius)) for c in lines]
     for x0 in itertools.chain(_PROBES, _gap_probes(g)):
         coeffs = [sum(c * x0**i for i, c in enumerate(row)) for row in g]  # g(x0, y), in y
         roots = real_roots(coeffs) if any(coeffs[1:]) and abs(x0) <= radius else []
-        on_line = [(float(x0), r.approx()) for r, _ in roots if _within(r, radius)]
+        on_line = [(float(x0), r.approx()) for r, _ in roots if _within(r, radius, exact)]
         on_line = [pt for pt in on_line if 0 < math.hypot(*pt) <= radius]
         if on_line:
             points.append(on_line[0])
@@ -169,17 +171,18 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     radius may be math.inf.
     """
     p, q = _integer(vf.p), _integer(vf.q)
+    exact = Fraction(radius) if math.isfinite(radius) else radius  # read by `_within`
     found: list[tuple[float, float]] = []
     rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if not any(rx) or not any(ry):  # a common factor of positive degree in x or in y
         g = _gcd(p, q)
-        found = _curve_points(g, radius)
+        found = _curve_points(g, radius, exact)
         p, q = _divexact(p, g), _divexact(q, g)
         rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
     if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
         return sorted(set(found))
-    xs = [r for r, _ in real_roots(rx) if _within(r, radius)]
-    ys = [r for r, _ in real_roots(ry) if _within(r, radius)]
+    xs = [r for r, _ in real_roots(rx) if _within(r, radius, exact)]
+    ys = [r for r, _ in real_roots(ry) if _within(r, radius, exact)]
     x_degree, y_degree = max(len(row) for h in (p, q) for row in h) - 1, max(len(p), len(q)) - 1
     y_powers = [_power_bounds(r.bounds(), y_degree) for r in ys]
     for rx_root in xs:

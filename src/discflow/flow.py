@@ -14,8 +14,10 @@ crossing of the escape radius, where the loop cuts the step at the exit and
 ends the stream.  One reader, `orbit_verdict`, turns that stream into every
 verdict, and each verdict carries its record, which the portrait draws and
 along which `first_integral_check` measures the float drift of an exact first
-integral (from `family.hamiltonian`).  The exact scan for other finite
-equilibria is in `equilibria`.
+integral (from `family.hamiltonian`).  On a field reversible under
+(x, y, t) -> (x, -y, -t) an orbit that meets the x-axis twice is periodic
+(Devaney 1976), so there the reader stops at the second crossing.  The exact
+scan for other finite equilibria is in `equilibria`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class Trajectory:
     """The record of one orbit: its accepted steps, 18 floats each, in `steps`.
 
     A step is t0, h, x, y, then (x, y) of its dense-output coefficients F0..F6
-    (see `_dense`); an escaped orbit ends at its exit.  The start
+    (see `_dense`); an escaped orbit ends at its exit, a periodic orbit of a
+    reversible field at its second crossing of the x-axis.  The start
     costs 2 field evaluations, an accepted step 15 (12 stages and the 3 extra
     ones of the dense output) and a `rejected` attempt 11 (no stage 12)."""
 
@@ -80,11 +83,13 @@ class Trajectory:
 
     def sample(self, n: int, t_end: float | None = None) -> list[tuple[float, float, float]]:
         """n evenly spaced (t, x, y) over [0, t_end], by default the whole record, each by
-        `_dense`'s Horner form on the last step starting at or before t."""
+        `_dense`'s Horner form on the last step starting at or before t; never past the end."""
         if not self.steps:
             return []
         steps, last, i, end, out = self.steps, len(self.steps) - _STRIDE, -_STRIDE, -math.inf, []
         t_end = self.t_end if t_end is None else t_end
+        if not t_end <= self.t_end:
+            raise ValueError(f"t_end {t_end!r} lies past the record's end {self.t_end!r}")
         for k in range(n):
             t = t_end * k / max(n - 1, 1)
             while i < last and not t < end:  # t never decreases: a step is unpacked at most once
@@ -105,12 +110,15 @@ class OrbitVerdict:
     exit_time: float | None = None
     closure_error: float | None = None
     reason: str | None = None
+    certificate: str | None = None  # "reversible" where the mirror closed the orbit
     # the record the verdict was read from, for drawing; not part of its value
     trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def periodic(cls, period: float, closure_error: float, trajectory=None) -> "OrbitVerdict":
-        return cls("periodic", period=period, closure_error=closure_error, trajectory=trajectory)
+    def periodic(cls, period: float, closure_error: float, trajectory=None,
+                 certificate: str | None = None) -> "OrbitVerdict":
+        return cls("periodic", period=period, closure_error=closure_error,
+                   certificate=certificate, trajectory=trajectory)
 
     @classmethod
     def escaping(cls, exit_time: float, trajectory=None) -> "OrbitVerdict":
@@ -121,7 +129,7 @@ class OrbitVerdict:
         return cls("inconclusive", reason=reason, trajectory=trajectory)
 
     def to_json(self) -> dict:
-        names = ("tag", "period", "exit_time", "closure_error", "reason")
+        names = ("tag", "period", "exit_time", "closure_error", "reason", "certificate")
         return {name: getattr(self, name) for name in names if getattr(self, name) is not None}
 
 
@@ -140,6 +148,12 @@ def _shape(vf: VectorField) -> tuple[tuple[str, str], tuple[float, ...]]:
 
     shape = tuple(" + ".join(term(*t) for t in sorted(p.terms.items())) or "0.0" for p in (vf.p, vf.q))
     return shape, tuple(coefficients)
+
+
+@lru_cache
+def _reversible(vf: VectorField) -> bool:
+    """Whether (x, y, t) -> (x, -y, -t) maps orbits to orbits: p odd in y, q even in y."""
+    return all(j % 2 for _, j in vf.p.terms) and not any(j % 2 for _, j in vf.q.terms)
 
 
 # -- the orbit engine ----------------------------------------------------------
@@ -342,14 +356,14 @@ def _dense(step, t: float) -> tuple[float, float]:
 
 
 def _section_crossings(t1: float, step):
-    """Sign changes of y over a step up to t1 as (t, x, d) in time order, d = +1 upward."""
+    """Sign changes of y over a step up to t1 as (t, x, y, d) in time order, d = +1 upward."""
     t0, ta, ya = step[0], step[0], step[3]
     for offset in _SCAN_OFFSETS:
         tb = t0 + (t1 - t0) * offset
         yb = _dense(step, tb)[1]
         if ya < 0.0 < yb or yb < 0.0 < ya:
             tc = _bisect_time(lambda t: _dense(step, t)[1], ta, tb)
-            yield tc, _dense(step, tc)[0], 1 if yb > 0.0 else -1
+            yield tc, *_dense(step, tc), 1 if yb > 0.0 else -1
         ta, ya = tb, yb
 
 
@@ -363,16 +377,23 @@ def orbit_verdict(
     later crossing with that orientation: periodic within section_closure_tol,
     else inconclusive, never coerced.  Any other start is carried to its
     first hit of the section and armed there, and the return map reads on in
-    the same integration.  Each phase gets its own max_time, counted from
-    where it starts, and an exit time is counted from there too.  A start
-    that is an equilibrium or a tangency is judged before any integration.
+    the same integration.  On a reversible field (`_reversible`) the section
+    is the x-axis, crossed either way, and the next crossing more than
+    section_closure_tol from the armed one (nearer, it re-arms: an orbit
+    resting at an equilibrium) closes the orbit with its mirror (x, -y):
+    periodic, certificate "reversible", period twice the time between them,
+    closure_error the gap 2*max|y| where the halves join, record cut there.
+    Each phase gets its own max_time, counted from where it starts, and an
+    exit time is counted from there too.  A start that is an equilibrium or
+    a tangency is judged before any integration.
     """
     cfg, traj, (shape, coefficients) = cfg or IntegratorConfig(), Trajectory(), _shape(vf)
     steps, field = _kernel(shape)
+    reversible = _reversible(vf)
     x, y = float(point[0]), float(point[1])
-    t_from, x_from, deadline, direction = 0.0, x, cfg.max_time, None
+    t_from, x_from, y_from, deadline, direction = 0.0, x, y, cfg.max_time, None
     p0, q0 = field(x, y, *coefficients)
-    if y == 0.0 and x > 0.0:  # q0 is the crossing's orientation: +1 up, -1 down, 0 tangent
+    if y == 0.0 and (x > 0.0 or reversible and x < 0.0):  # q0: +1 up, -1 down, 0 tangent
         direction = (q0 > 0.0) - (q0 < 0.0)
         if not direction:
             return OrbitVerdict.inconclusive("start is an equilibrium or a section tangency")
@@ -380,20 +401,28 @@ def orbit_verdict(
         return OrbitVerdict.inconclusive("initial condition is an equilibrium")
     try:
         for t1, step in steps(traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *coefficients):
-            for tc, xc, d in _section_crossings(t1, step) if _may_cross(step) else ():
+            for tc, xc, yc, d in _section_crossings(t1, step) if _may_cross(step) else ():
                 if tc > deadline:
                     break
-                if tc - t_from <= _T_GUARD or xc <= 0.0 or direction not in (None, d):
+                if tc - t_from <= _T_GUARD:
                     continue
-                if direction is not None:
+                if reversible:  # the half orbit and its mirror (x, -y) join at a second point
+                    if direction is not None and abs(xc - x_from) > cfg.section_closure_tol:
+                        traj.t_end = tc
+                        gap = 2.0 * max(abs(y_from), abs(yc))
+                        return OrbitVerdict.periodic(2.0 * (tc - t_from), gap, traj, "reversible")
+                elif xc <= 0.0 or direction not in (None, d):
+                    continue
+                elif direction is not None:
                     if abs(xc - x_from) <= cfg.section_closure_tol:
                         return OrbitVerdict.periodic(tc - t_from, abs(xc - x_from), traj)
                     reason = f"section return displaced by {xc - x_from:+.3e}"
                     return OrbitVerdict.inconclusive(reason, traj)
-                direction, t_from, x_from, deadline = d, tc, xc, tc + cfg.max_time
+                direction, t_from, x_from, y_from, deadline = d, tc, xc, yc, tc + cfg.max_time
             if t1 > deadline:
                 if direction is None:
-                    reason = "orbit never reaches the section {y = 0, x > 0}"
+                    section = "{y = 0}" if reversible else "{y = 0, x > 0}"
+                    reason = f"orbit never reaches the section {section}"
                 else:
                     reason = "no section return within max_time"
                 return OrbitVerdict.inconclusive(reason, traj)
@@ -407,12 +436,14 @@ def orbit_verdict(
 
 def first_integral_check(vf: VectorField, h: Poly2, verdict: OrbitVerdict) -> float:
     """Max drift of h along the verdict's record, over [0, period] for a periodic
-    verdict, else over the whole record; h must be exactly conserved."""
+    verdict, or its record's end if sooner (a reversible verdict records half an
+    orbit), else over the whole record; h must be exactly conserved."""
     if not lie_derivative(h, vf).is_zero:
         raise NotConserved("Lie derivative of the candidate is not the zero polynomial")
-    if verdict.trajectory is None or not verdict.trajectory.steps:
+    traj = verdict.trajectory
+    if traj is None or not traj.steps:
         raise ValueError(f"the verdict has no record to check: {verdict.reason}")
-    samples = verdict.trajectory.sample(_DRIFT_SAMPLES, verdict.period)
+    samples = traj.sample(_DRIFT_SAMPLES, min(verdict.period or math.inf, traj.t_end))
     h0 = h.evaluate_float(samples[0][1], samples[0][2])
     return max(abs(h.evaluate_float(px, py) - h0) for _, px, py in samples)
 

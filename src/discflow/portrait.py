@@ -95,8 +95,10 @@ def render_portrait(
     Each orbit is drawn from the record its verdict carries, with no new
     integration: a periodic orbit over its period, an escaping one to its
     exit from the escape radius, an inconclusive one to EXTRA_TIME or
-    its record's end, whichever comes first.  A sample with no record (an
-    equilibrium or tangency start) is skipped.  vf and cfg are not read.
+    its record's end, whichever comes first; a "reversible" periodic record,
+    half a loop, is drawn with its mirror (x, -y) in reverse after it.  A
+    sample with no record (an equilibrium or tangency start) is skipped.  vf
+    and cfg are not read.
     """
     spec = spec or PortraitSpec()
     svg = _Svg(spec.width, spec.height)
@@ -112,8 +114,11 @@ def render_portrait(
         t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
         # disc_projection inlined, one format per polyline; a point lies at least MARGIN
         # inside the image, so no -0.000
-        flat = []
-        for _, x, y in traj.sample(SAMPLES_PER_ORBIT, min(t_stop, traj.t_end)):
+        flat, mirrored = [], orbit.certificate == "reversible"
+        points = traj.sample(SAMPLES_PER_ORBIT // (1 + mirrored), min(t_stop, traj.t_end))
+        if mirrored:
+            points += [(t, x, -y) for t, x, y in reversed(points)]
+        for _, x, y in points:
             q = 1.0 / (1.0 + math.hypot(x, y))
             flat += (cx + scale * (x * q), cy - scale * (y * q))
         coords = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)

@@ -59,8 +59,10 @@ class RealRoot:
 
     def approx(self) -> float:
         """The enclosure's midpoint, rounded once: the root itself for a rational, the
-        float nearest it for a surd; OverflowError past float range."""
-        return float((self.lo + self.hi) / 2)
+        float nearest it for a surd; OverflowError past float range.  One correctly
+        rounded division of integers, (lo.n*hi.d + hi.n*lo.d) / (2*lo.d*hi.d)."""
+        (a, b), (c, d) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        return (a * d + c * b) / (2 * b * d)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """The exact enclosure (lo, hi); lo == hi for a rational."""

@@ -34,6 +34,9 @@ from discflow.flow import (
 from discflow.poly import Poly2, VectorField, X, Y
 
 LINEAR = VectorField(Y, -X)
+# a linear center of period 2 pi that is not reversible about the x-axis (x' has the
+# term x), so its orbits are read by the full return map; H = x^2 + 2xy + 2y^2
+SHEARED = VectorField(X + 2 * Y, -X - Y)
 CFG = IntegratorConfig()
 
 
@@ -49,6 +52,34 @@ def kernel_steps(vf: VectorField, start, cfg: IntegratorConfig, traj):
     shape, c = flow._shape(vf)
     x, y = float(start[0]), float(start[1])
     return flow._kernel(shape)[0](traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *c)
+
+
+def over_one_period(vf: VectorField, start, verdict, cfg: IntegratorConfig = CFG):
+    """The periodic verdict with its record replaced by the kernel's stream from start
+    run past one whole period: a reversible verdict records only half of it."""
+    traj = flow.Trajectory()
+    for t1, _ in kernel_steps(vf, start, cfg, traj):
+        if t1 >= verdict.period:
+            break
+    assert traj.t_end >= verdict.period
+    return dataclasses.replace(verdict, trajectory=traj)
+
+
+def full_return(vf: VectorField, start, cfg: IntegratorConfig = CFG):
+    """One whole numerical loop read off the kernel's stream by hand, on any field:
+    from the first crossing of y = 0 after the start to the next one in the same
+    direction, as (time, |x displacement|); None if the stream ends or runs past
+    twice max_time first."""
+    traj, armed = flow.Trajectory(), None
+    for t1, step in kernel_steps(vf, start, cfg, traj):
+        for tc, xc, _, d in flow._section_crossings(t1, step):
+            if armed is None:
+                armed = tc, xc, d
+            elif d == armed[2]:
+                return tc - armed[0], abs(xc - armed[1])
+        if t1 > 2.0 * cfg.max_time:
+            return None
+    return None
 
 
 def compile_rhs(vf: VectorField):
@@ -197,16 +228,22 @@ class TestConfig:
 class TestIntegrate:
     """Integration as read off a verdict's record."""
 
+    # the verdicts below record half a loop; the kernel is driven over the whole period
+
     def test_harmonic_oscillator_stays_on_circle(self):
         v = orbit_verdict(LINEAR, (1.0, 0.0), CFG)
-        worst = max(abs(math.hypot(px, py) - 1.0) for _, px, py in v.trajectory.sample(500, v.period))
+        assert v.trajectory.t_end < 0.51 * v.period
+        loop = over_one_period(LINEAR, (1.0, 0.0), v).trajectory.sample(500, v.period)
+        assert loop[-1][0] == v.period
+        worst = max(abs(math.hypot(px, py) - 1.0) for _, px, py in loop)
         assert worst < 1e-8
 
     def test_cubic_restoring_conserves_energy(self):
         # x' = y, y' = -x + 4*b1*x^3 with b1 = -1
         vf = build_system(FamilyParams.make(b1=-1, d1=-3))
         v = orbit_verdict(vf, (1.0, 0.0), CFG)
-        assert first_integral_check(vf, hamiltonian(vf), v) < 1e-8
+        assert v.trajectory.t_end < 0.51 * v.period
+        assert first_integral_check(vf, hamiltonian(vf), over_one_period(vf, (1.0, 0.0), v)) < 1e-8
 
     def test_escape_detected(self):
         # c1 = 4 specialization has unbounded orbits through (1, 1)
@@ -374,13 +411,24 @@ class TestKernelMatchesComplexLoop:
 
 class TestRecord:
     def test_verdict_carries_its_record(self):
-        v = orbit_verdict(LINEAR, (0.0, 1.0), CFG)
+        v = orbit_verdict(SHEARED, (0.0, 1.0), CFG)
         traj = v.trajectory
         assert v.tag == "periodic" and len(traj.steps) % flow._STRIDE == 0
-        # the carry phase (pi/2) and one period (2 pi) are both in the record
-        assert traj.t_end >= math.pi / 2 + v.period
+        # the carry phase (pi/4) and one period (2 pi) are both in the record
+        assert traj.t_end >= math.pi / 4 + v.period
         _, x, y = traj.sample(2, v.period)[-1]
         assert math.hypot(x, y - 1.0) < 1e-8
+
+    def test_sample_refuses_to_extrapolate(self):
+        # records cut on the x-axis and at the exit, whose last step reaches past t_end,
+        # and one that ends with its last step
+        control = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
+        for vf, start in [(LINEAR, (1.0, 0.0)), (control, (1.0, 1.0)), (SHEARED, (0.0, 1.0))]:
+            traj = orbit_verdict(vf, start, CFG).trajectory
+            assert traj.sample(3, traj.t_end) == traj.sample(3)
+            for t_end in (math.nextafter(traj.t_end, math.inf), traj.t_end + 5.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="past the record's end"):
+                    traj.sample(3, t_end)
 
     def test_record_is_not_part_of_the_value(self):
         v = orbit_verdict(LINEAR, (1.0, 0.0), CFG)
@@ -403,7 +451,7 @@ class TestRecord:
             # with t_end a step's start, or twice it, the last of 2 or the middle of 3 samples is on it
             assert all(traj.sample(2, t)[1][0] == traj.sample(3, 2 * t)[1][0] == t for t in starts)
             on_starts = [t * f for t in starts for f in (1.0, 2.0)]
-            for t_end in (None, 0.0, 0.37 * traj.t_end, traj.t_end + 5.0, *on_starts):
+            for t_end in (None, 0.0, 0.37 * traj.t_end, traj.t_end, *on_starts):
                 assert traj.sample(n, t_end) == bisect_sample(traj, n, t_end)
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["steps", "overflow"])
@@ -564,21 +612,22 @@ class TestOrbitVerdict:
         assert v.reason == "initial condition is an equilibrium"
         assert v.trajectory is None
 
-    # (0, 1) reaches the section at t = pi/2 and returns 2*pi later: each
-    # phase has its own max_time, so 7 suffices although pi/2 + 2*pi > 7.
+    # On SHEARED, x = 2 sin t and y = cos t - sin t from (0, 1): the orbit reaches
+    # the section at t = pi/4, at (sqrt 2, 0), and returns 2*pi later: each phase
+    # has its own max_time, so 6.5 suffices although pi/4 + 2*pi > 6.5.
     def test_carry_phase_time_budget(self):
-        v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=1.0))
+        v = orbit_verdict(SHEARED, (0.0, 1.0), IntegratorConfig(max_time=0.5))
         assert v.tag == "inconclusive"
         assert v.reason == "orbit never reaches the section {y = 0, x > 0}"
 
     def test_return_phase_time_budget(self):
-        v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=6.0))
+        v = orbit_verdict(SHEARED, (0.0, 1.0), IntegratorConfig(max_time=6.0))
         assert v.tag == "inconclusive"
         assert v.reason == "no section return within max_time"
 
     def test_each_phase_has_its_own_budget(self):
-        v = orbit_verdict(LINEAR, (0.0, 1.0), IntegratorConfig(max_time=7.0))
-        assert v.tag == "periodic"
+        v = orbit_verdict(SHEARED, (0.0, 1.0), IntegratorConfig(max_time=6.5))
+        assert v.tag == "periodic" and v.certificate is None
         assert v.period == pytest.approx(2 * math.pi, abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -593,6 +642,58 @@ class TestOrbitVerdict:
         vf = build_system(FamilyParams.make(**params))
         for r in (0.5, 1.0, 2.0, 5.0):
             assert orbit_verdict(vf, (r, -0.0), CFG) == orbit_verdict(vf, (r, 0.0), CFG)
+
+    @pytest.mark.parametrize(
+        ("start", "t_arm"), [((1.0, 0.0), 0.0), ((0.0, 1.0), math.pi / 2), ((-1.0, 0.0), 0.0)]
+    )
+    def test_reversible_field_reads_half_a_loop(self, start, t_arm):
+        # LINEAR is reversible: armed at its first crossing of y = 0 (at t = 0 on the
+        # axis, either side), periodic at the next, half a loop later, on the other side
+        v = orbit_verdict(LINEAR, start, CFG)
+        assert v.tag == "periodic" and v.certificate == "reversible"
+        assert v.period == pytest.approx(2 * math.pi, abs=1e-9)
+        assert v.trajectory.t_end == pytest.approx(t_arm + math.pi, abs=1e-9)
+        _, x, y = v.trajectory.sample(2)[-1]
+        x_arm = -1.0 if start == (-1.0, 0.0) else 1.0
+        assert x == pytest.approx(-x_arm, abs=1e-9) and abs(y) <= v.closure_error / 2
+        assert 0.0 <= v.closure_error < 1e-9
+        assert v.to_json()["certificate"] == "reversible"
+
+    def test_closure_is_the_gap_where_the_mirror_joins(self):
+        # armed at t = 0 on the axis (y = 0), so the gap is twice |y| at the second crossing
+        v = orbit_verdict(LINEAR, (2.0, 0.0), CFG)
+        traj = v.trajectory
+        last = traj.steps[-flow._STRIDE :]
+        assert v.closure_error == 2.0 * abs(flow._dense(last, traj.t_end)[1])
+
+    def test_sign_changes_at_one_point_certify_nothing(self):
+        # the fan's start at angle pi, r = 1, lies 1.2e-16 from the saddle (-1, 0) of this
+        # reversible member: y changes sign twice there at rounding level, which would
+        # read as a periodic orbit of period about 5; the reading re-arms instead
+        vf = build_system(FamilyParams.make(a1=1, d1=2))
+        start = sample_points((1.0,), 8)[4]
+        assert start[0] == -1.0 and 0.0 < start[1] < 1e-15 and flow._reversible(vf)
+        v = orbit_verdict(vf, start, CFG)
+        noise = [c for t1, step in recorded_steps(v.trajectory)[:6] for c in flow._section_crossings(t1, step)]
+        assert len(noise) == 2 and all(abs(xc + 1.0) < 1e-12 for _, xc, _, _ in noise)
+        assert v.tag == "escaping"
+
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
+    def test_non_reversible_field_reads_a_full_return(self, start):
+        v = orbit_verdict(SHEARED, start, CFG)
+        assert v.tag == "periodic" and v.certificate is None
+        assert "certificate" not in v.to_json()
+        assert v.period == pytest.approx(2 * math.pi, abs=1e-6)
+        assert v.trajectory.t_end >= v.period  # a start off {y = 0, x > 0} is carried first
+        assert (v.trajectory.t_end > v.period + 0.5) == (start != (1.0, 0.0))
+
+    def test_reversible_start_on_the_axis_at_an_equilibrium(self):
+        # b1 = 1, c1 = 2, d1 = 1 is reversible, with the lines of equilibria x = +-1/2
+        vf = build_system(FamilyParams.make(b1=1, c1=2, d1=1))
+        assert flow._reversible(vf)
+        for x in (0.5, -0.5):
+            v = orbit_verdict(vf, (x, 0.0), CFG)
+            assert v.reason == "start is an equilibrium or a section tangency"
 
     @pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
     def test_escape_needs_an_outward_crossing(self, start):
@@ -613,8 +714,9 @@ class TestCrossingScreen:
         # y = cos t falls through 0 at t = pi/2, where x = 1
         t1, step = next((t1, step) for t1, step in steps if step[0] <= math.pi / 2 < t1)
         assert flow._may_cross(step)
-        [(tc, xc, d)] = flow._section_crossings(t1, step)
+        [(tc, xc, yc, d)] = flow._section_crossings(t1, step)
         assert d == -1 and tc == pytest.approx(math.pi / 2) and xc == pytest.approx(1.0)
+        assert (xc, yc) == flow._dense(step, tc) and abs(yc) < 1e-11
 
     @settings(max_examples=40)
     @given(
@@ -658,6 +760,20 @@ class TestFirstIntegrals:
         assert not lie_derivative(h, vf).is_zero
         with pytest.raises(NotConserved):
             first_integral_check(vf, h, orbit_verdict(vf, (1.0, 0.0), CFG))
+
+    def test_periodic_verdict_is_read_over_its_period_or_its_record(self, monkeypatch):
+        # the full return records past one period, the reversible reading half of it
+        read, sample = [], flow.Trajectory.sample
+        monkeypatch.setattr(flow.Trajectory, "sample", lambda traj, n, t_end=None: (
+            read.append(t_end) or sample(traj, n, t_end)))
+        records = []
+        for vf, h in [(SHEARED, X * X + 2 * X * Y + 2 * Y * Y), (LINEAR, X * X + Y * Y)]:
+            v = orbit_verdict(vf, (0.0, 1.0), CFG)
+            assert first_integral_check(vf, h, v) < 1e-8
+            records.append(v.trajectory)
+        full, half = records
+        assert full.t_end > read[0] == pytest.approx(2 * math.pi, abs=1e-6)
+        assert read[1] == half.t_end == pytest.approx(1.5 * math.pi, abs=1e-9)
 
     def test_escaping_verdict_is_read_over_its_whole_record(self):
         # H = -1 on the control's orbit from (1, 1), out to the escape radius
@@ -821,6 +937,22 @@ class TestTimeReversalCrossCheck:
         flip_p = vf.p.substitute(-X, Y)
         flip_q = vf.q.substitute(-X, Y)
         return flip_p == vf.p and flip_q == -vf.q
+
+    @settings(max_examples=60)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2"]),
+            UNIT_OR_ZERO | st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        )
+    )
+    def test_reversibility_read_off_the_terms(self, params):
+        # (x, y, t) -> (x, -y, -t) maps orbits to orbits: p(x, -y) = -p, q(x, -y) = q
+        vf = build_system(FamilyParams.make(**params))
+        mirrored = vf.p.substitute(X, -Y) == -vf.p and vf.q.substitute(X, -Y) == vf.q
+        assert flow._reversible(vf) == mirrored
+        nonzero = {k for k, v in params.items() if v}
+        if not nonzero & {"a2", "b2", "c2", "d2"}:
+            assert flow._reversible(vf)
 
     def test_mixed_slice_is_reversible(self):
         params = FamilyParams.make(b1=1, c1=-3, d1=2)

@@ -9,6 +9,7 @@ from discflow import flow
 from discflow.compactify import infinite_equilibria
 from discflow.family import FamilyParams, build_system
 from discflow.flow import IntegratorConfig, OrbitVerdict, global_center_verdict
+from discflow.poly import VectorField, X, Y
 from discflow.portrait import (
     EXTRA_TIME,
     MARGIN,
@@ -95,7 +96,8 @@ def _polylines(svg: str, stroke: str) -> list[list[tuple[float, float]]]:
 
 def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
     """The polylines' points drawn point by point, each read off its record by the
-    bisecting reader, through to_px and the -0.000 rule."""
+    bisecting reader, through to_px and the -0.000 rule; a reversible periodic orbit
+    is half the points off its record, then their mirror images in reverse."""
     cx, cy = spec.width / 2.0, spec.height / 2.0
     scale = min(spec.width, spec.height) / 2.0 - MARGIN
 
@@ -113,7 +115,12 @@ def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
         if traj is None or not traj.steps:
             continue
         t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
-        samples = bisect_sample(traj, SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
+        if orbit.certificate == "reversible":
+            half = bisect_sample(traj, SAMPLES_PER_ORBIT // 2, traj.t_end)
+            samples = half + [(t, x, -y) for t, x, y in half[::-1]]
+        else:
+            samples = bisect_sample(traj, SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
+        assert len(samples) == SAMPLES_PER_ORBIT
         pts = [to_px(x, y) for _, x, y in samples]
         lines.append(" ".join(f"{fmt(px)},{fmt(py)}" for px, py in pts))
     return lines
@@ -141,6 +148,27 @@ class TestDrawnFromRecords:
         lines = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
         drawn = [line.get("points") for line in lines]
         assert drawn == reference_polylines(verdict, spec) and len(drawn) == 8
+        # a periodic orbit of a reversible member (all here but b2 = d2 = 1) is drawn from
+        # half its loop; the global member's 8 orbits all are
+        periodic = [v for _, v in verdict.samples if v.tag == "periodic"]
+        assert all((v.certificate == "reversible") == flow._reversible(vf) for v in periodic)
+        if base == dict(b1=1, c1=-4, d1=3):
+            assert len(periodic) == 8
+
+    def test_reversible_loop_is_drawn_closed(self):
+        # on x' = y, y' = -x the half record from (1, 0) and its mirror make the unit circle
+        orbit = flow.orbit_verdict(VectorField(Y, -X), (1.0, 0.0))
+        verdict = flow.GlobalVerdict("global-center-consistent", None, (((1.0, 0.0), orbit),), (), False)
+        spec = PortraitSpec(width=400, height=400)
+        svg = render_portrait(None, verdict, infinite_equilibria(build_system(FamilyParams())), spec)
+        [points] = _polylines(svg, VERDICT_COLORS["periodic"])
+        scale = 200.0 - MARGIN
+        assert len(points) == SAMPLES_PER_ORBIT and points[0] == points[-1]
+        assert points[0] == pytest.approx((200.0 + scale / 2, 200.0), abs=1e-3)
+        assert all(math.hypot(px - 200.0, py - 200.0) == pytest.approx(scale / 2, abs=2e-3)
+                   for px, py in points)
+        assert max(py for _, py in points) > 200.0 + 0.4 * scale > 200.0 - 0.4 * scale > min(
+            py for _, py in points)
 
     def test_render_never_integrates(self, monkeypatch):
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)

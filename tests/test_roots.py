@@ -3,9 +3,13 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 
+from discflow.equilibria import _within
 from discflow.roots import RealRoot, quadratic_roots, real_roots
+
+X = sympy.Symbol("x")
 
 
 def test_rational_roots():
@@ -231,10 +235,6 @@ def test_roots_are_invariant_under_positive_rescaling(coeffs, scale, shift):
     assert [(r.to_json(), m) for r, m in real_roots(scaled)] == expect
 
 
-def _value(coeffs, x):
-    return sum(c * x**k for k, c in enumerate(coeffs))
-
-
 def _sign_is_negative(root):
     """Whether a nonzero root is negative, from its exact form; an interval's cell,
     which holds the root, must lie on one side of 0."""
@@ -267,17 +267,21 @@ def wide_polynomials(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(wide_polynomials())
+# (x^2 + x/10^12 + 1/10^25)^2: the derivative's root -1/(2*10^12) shares a cell with a root
+@example([F(1, 10**26), F(1, 5 * 10**12), F(6, 5), F(2 * 10**12), F(10**24), F(0), F(0)])
 def test_every_root_carries_its_exact_enclosure(coeffs):
     for root, mult in real_roots(coeffs):
         lo, hi = root.bounds()
         assert (lo, hi) == (root.lo, root.hi) and lo <= hi
         if root.kind == "rational":
             assert lo == hi == root.a
-        else:  # the (mult - 1)-th derivative has a simple root there; x**k may vanish at lo or hi
-            deriv = coeffs[next(k for k, c in enumerate(coeffs) if c):]
-            for _ in range(mult - 1):
-                deriv = [k * c for k, c in enumerate(deriv)][1:]
-            assert _value(deriv, lo) * _value(deriv, hi) < 0
+        else:  # one distinct root in the cell, of multiplicity mult, counted exactly by
+            # sympy's Sturm sequences; x**k is divided out, as its root 0 may be lo or hi.
+            # (The (mult - 1)-th derivative need not change sign over the cell: a root of
+            # it that is no root of coeffs may share the cell.)
+            poly = sympy.Poly(coeffs[next(k for k, c in enumerate(coeffs) if c):][::-1], X)
+            assert poly.sqf_part().count_roots(lo, hi) == 1
+            assert sum(f.count_roots(lo, hi) for f, k in poly.sqf_list()[1] if k == mult) == 1
         try:
             midpoint = float((lo + hi) / 2)
         except OverflowError:
@@ -287,3 +291,23 @@ def test_every_root_carries_its_exact_enclosure(coeffs):
             assert root.approx() == midpoint
         if lo or hi:
             assert (hi <= 0) == _sign_is_negative(root)
+
+
+def _outcome(read):
+    """What read() gives: its value, or the type of what it raised."""
+    try:
+        return read()
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_polynomials(), st.sampled_from([5e-324, 0.5, 1.0, 1e3, 1e300, math.inf]))
+def test_radius_converted_once_reads_as_the_per_call_comparison(coeffs, radius):
+    # the enclosure compared with the radius as a Fraction made once per scan reads what a
+    # Fraction-float comparison per call read (approx() is checked against the Fraction
+    # midpoint above)
+    exact = F(radius) if math.isfinite(radius) else radius
+    for root, _ in real_roots(coeffs):
+        per_call = lambda: root.lo <= radius and -radius <= root.hi and abs(root.approx()) <= radius  # noqa: E731
+        assert _outcome(lambda: _within(root, radius, exact)) == _outcome(per_call)

@@ -134,9 +134,10 @@ class OrbitVerdict:
 
 
 @lru_cache
-def _shape(vf: VectorField) -> tuple[tuple[str, str], tuple[float, ...]]:
+def _shape(vf: VectorField) -> tuple[tuple[str, str], tuple[float, ...], bool]:
     """The field's shape, p and q as source in x and y with a coefficient +-1 as a sign (the
-    same float as the product with +-1.0) and any other as a name, and the floats c0, c1, ..."""
+    same float as the product with +-1.0) and any other as a name, the floats c0, c1, ...,
+    and whether (x, y, t) -> (x, -y, -t) maps orbits to orbits: p odd in y, q even in y."""
     coefficients: list[float] = []
 
     def term(monomial, c):  # powers as products: x*x*x overflows to inf, where x**3 raises
@@ -147,13 +148,8 @@ def _shape(vf: VectorField) -> tuple[tuple[str, str], tuple[float, ...]]:
         return "*".join([f"c{len(coefficients) - 1}"] + factors)
 
     shape = tuple(" + ".join(term(*t) for t in sorted(p.terms.items())) or "0.0" for p in (vf.p, vf.q))
-    return shape, tuple(coefficients)
-
-
-@lru_cache
-def _reversible(vf: VectorField) -> bool:
-    """Whether (x, y, t) -> (x, -y, -t) maps orbits to orbits: p odd in y, q even in y."""
-    return all(j % 2 for _, j in vf.p.terms) and not any(j % 2 for _, j in vf.q.terms)
+    reversible = all(j % 2 for _, j in vf.p.terms) and not any(j % 2 for _, j in vf.q.terms)
+    return shape, tuple(coefficients), reversible
 
 
 # -- the orbit engine ----------------------------------------------------------
@@ -377,7 +373,7 @@ def orbit_verdict(
     later crossing with that orientation: periodic within section_closure_tol,
     else inconclusive, never coerced.  Any other start is carried to its
     first hit of the section and armed there, and the return map reads on in
-    the same integration.  On a reversible field (`_reversible`) the section
+    the same integration.  On a reversible field (see `_shape`) the section
     is the x-axis, crossed either way, and the next crossing more than
     section_closure_tol from the armed one (nearer, it re-arms: an orbit
     resting at an equilibrium) closes the orbit with its mirror (x, -y):
@@ -387,9 +383,8 @@ def orbit_verdict(
     exit time is counted from there too.  A start that is an equilibrium or
     a tangency is judged before any integration.
     """
-    cfg, traj, (shape, coefficients) = cfg or IntegratorConfig(), Trajectory(), _shape(vf)
+    cfg, traj, (shape, coefficients, reversible) = cfg or IntegratorConfig(), Trajectory(), _shape(vf)
     steps, field = _kernel(shape)
-    reversible = _reversible(vf)
     x, y = float(point[0]), float(point[1])
     t_from, x_from, y_from, deadline, direction = 0.0, x, y, cfg.max_time, None
     p0, q0 = field(x, y, *coefficients)

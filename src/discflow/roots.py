@@ -1,18 +1,20 @@
 """Real roots of univariate rational polynomials, exact where possible.
 
-Roots of linear and quadratic factors are kept in closed form (a rational, or
-a quadratic surd p + q*sqrt(r)); anything of higher degree goes through
-integer kernels: Yun's square-free decomposition, then Descartes' rule of
-signs with bisection and exact signs at dyadic points.  A root found there is
-`rational` exactly when it is rational; an irrational one is reported as its
+The input is scaled once to a primitive integer polynomial.  Roots of linear
+and quadratic factors are kept in closed form (a rational, or a quadratic surd
+p + q*sqrt(r)); anything of higher degree goes through integer kernels: Yun's
+square-free decomposition, then Descartes' rule of signs with bisection and
+exact signs at dyadic points.  A rational root is the one multiple of 1/|lc|
+(lc a factor's leading coefficient) in a cell narrower than 1/|lc|, so one
+exact sign there tells a `rational` root; an irrational one is reported as its
 dyadic cell [k, k + 1] / 2**40 (2**-40 < 1e-12), halved until no other root
 lies in it, so its endpoints depend on the root alone and `approx()`, the
 midpoint, is an exact float for |root| < 2**12.  Every kind shares the
 `RealRoot` carrier and its exact enclosure [lo, hi] (a rational's is the point,
 a surd's its cell), so downstream code reads a float, a bound or a sign off lo
-and hi without caring which case it got.  Input is a plain
-coefficient list, lowest first; the dense integer kernels also serve the
-equilibrium scan's Z[x][y], and no bivariate format is read here.
+and hi without caring which case it got.  Input is a plain coefficient list,
+lowest first; the dense integer kernels also serve the equilibrium scan's
+Z[x][y], and no bivariate format is read here.
 """
 
 from __future__ import annotations
@@ -108,35 +110,6 @@ def _cell(a: Fraction, b: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
     root = math.isqrt(q * q * n << 2 * e)  # floor(|q| * sqrt(n) * 2**e); n is no square
     k = ((p << e) + (root if q > 0 else -root - 1)) // m
     return Fraction(k, 2**e), Fraction(k + 1, 2**e)
-
-
-def quadratic_roots(a, b, c) -> list[tuple[RealRoot, int]]:
-    """Real roots of a*x^2 + b*x + c (a may be zero), with multiplicities, sorted ascending."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                raise ValueError("zero polynomial has no isolated roots")
-            return []
-        return [(RealRoot.rational(-c / b), 1)]
-    # primitive over Z first, so the surd's text and float do not depend on the scale
-    a, b, c = _primitive([int(v * math.lcm(a.denominator, b.denominator, c.denominator))
-                          for v in (a, b, c)])
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [(RealRoot.rational(Fraction(-b, 2 * a)), 2)]
-    s = math.isqrt(disc)
-    if s * s == disc:
-        roots = sorted([Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)])
-        return [(RealRoot.rational(v), 1) for v in roots]
-    k = 1  # disc = k^2 * r: divide out the squares of small primes
-    for p in range(2, 64):
-        while disc % (p * p) == 0:
-            disc, k = disc // (p * p), k * p
-    mid, half = Fraction(-b, 2 * a), abs(Fraction(k, 2 * a))
-    return [(RealRoot.surd(mid, -half, disc), 1), (RealRoot.surd(mid, half, disc), 1)]
 
 
 # -- dense integer polynomials: coefficient lists, lowest first, whose entries are
@@ -268,9 +241,9 @@ def _isolate(f: list[int], bits: int) -> list:
 
 def _refine(f: list[int], a: int, e: int, bits: int):
     """Bisect (a / 2**e, (a + 1) / 2**e) around f's one root in it until
-    e >= bits; the root itself when a midpoint is one, or when it is the
-    fraction with denominator <= |lc(f)| nearest the midpoint (the only
-    candidate for a rational root once 2**-e < lc(f)**-2)."""
+    e >= bits; the root itself when a midpoint is one, or when it is rational.
+    A rational root of f is a multiple of 1 / |lc(f)|, and once 2**-e < 1 / |lc(f)|
+    the cell holds at most one: the first above its left end, n / |lc(f)|."""
     def sign(g, a, e):
         return _sign(g, a << max(-e, 0), 1 << max(e, 0))
 
@@ -281,17 +254,38 @@ def _refine(f: list[int], a: int, e: int, bits: int):
         if not mid:
             return (a + 1) * Fraction(2) ** -e
         a += mid == side
-    guess = Fraction(2 * a + 1, 2 ** (e + 1)).limit_denominator(abs(f[-1]))
-    inside = a < guess * 2**e < a + 1 and not _sign(f, guess.numerator, guess.denominator)
-    return guess if inside else (a, e)
+    lc = abs(f[-1])
+    n = (a * lc >> e) + 1
+    return Fraction(n, lc) if n << e < (a + 1) * lc and not _sign(f, n, lc) else (a, e)
 
 
-def _isolate_high_degree(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
+def _closed_form(f: list[int]) -> list[tuple[RealRoot, int]]:
+    """The real roots of primitive f of degree <= 2, f(0) != 0, in closed form, ascending."""
+    if len(f) < 3:
+        return [(RealRoot.rational(Fraction(-f[0], f[1])), 1)] if len(f) == 2 else []
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [(RealRoot.rational(Fraction(-b, 2 * a)), 2)]
+    s = math.isqrt(disc)
+    if s * s == disc:
+        roots = sorted([Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)])
+        return [(RealRoot.rational(v), 1) for v in roots]
+    k = 1  # disc = k^2 * r: divide out the squares of small primes
+    for p in range(2, 64):
+        while disc % (p * p) == 0:
+            disc, k = disc // (p * p), k * p
+    mid, half = Fraction(-b, 2 * a), abs(Fraction(k, 2 * a))
+    return [(RealRoot.surd(mid, -half, disc), 1), (RealRoot.surd(mid, half, disc), 1)]
+
+
+def _isolate_high_degree(f: list[int]) -> list[tuple[RealRoot, int]]:
     """Rational roots exactly, the others in their dyadic cells (see the module docstring)."""
-    d = math.lcm(*(c.denominator for c in coeffs))
     exact, cells = [], []  # (value, mult); [g, a, e, mult]
-    for g, mult in _squarefree(_primitive([c.numerator * (d // c.denominator) for c in coeffs])):
-        bits = max(CELL_BITS, 2 * g[-1].bit_length())  # 2**-bits < lc**-2, see _refine
+    for g, mult in _squarefree(f):
+        bits = max(CELL_BITS, g[-1].bit_length())  # 2**-bits < 1 / |lc|, see _refine
         for root in [Fraction(-g[0], g[1])] if len(g) == 2 else _isolate(g, bits):
             if isinstance(root, Fraction):
                 exact.append((root, mult))
@@ -323,18 +317,18 @@ def real_roots(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
     sorted by their value.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
+    d = math.lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (d // c.denominator) for c in coeffs]
+    while f and not f[-1]:
+        f.pop()
+    if not f:
         raise ValueError("zero polynomial has no isolated roots")
-    shift = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if len(coeffs) > 3:  # rationals and cells that hold no other root: their bounds order them
-        out = sorted(_isolate_high_degree(coeffs), key=lambda pair: pair[0].bounds())
+    shift = next(k for k, c in enumerate(f) if c)
+    f = _primitive(f[shift:])  # one integer form, so a surd's text does not depend on the scale
+    if len(f) > 3:  # rationals and cells that hold no other root: their bounds order them
+        out = sorted(_isolate_high_degree(f), key=lambda pair: pair[0].bounds())
     else:  # degree <= 2: closed forms, in order
-        out = quadratic_roots(*reversed(coeffs + [Fraction(0)] * (3 - len(coeffs))))
+        out = _closed_form(f)
     if shift:  # 0 is no root of the rest, and no enclosure holds it: it goes after hi <= 0
         out.insert(sum(root.hi <= 0 for root, _ in out), (RealRoot.rational(0), shift))
     return out

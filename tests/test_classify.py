@@ -14,7 +14,7 @@ from discflow.compactify import ChartId, chart_field
 from discflow.desing import run_chain
 from discflow.family import FamilyParams, build_system
 from discflow.poly import Poly2, VectorField, X, Y
-from discflow.roots import quadratic_roots
+from discflow.roots import real_roots
 
 from reference_systems import (
     params_sum_slice,
@@ -69,7 +69,7 @@ class TestCoarseClassification:
 def eigenvalues(jac):
     """The real eigenvalues of a rational 2x2 matrix, ascending, each once."""
     trace, det = _trace_det(jac)
-    return [lam for lam, _ in quadratic_roots(1, -trace, det)]
+    return [lam for lam, _ in real_roots([det, -trace, 1])]
 
 
 class TestSpectrum:

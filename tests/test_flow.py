@@ -42,14 +42,14 @@ CFG = IntegratorConfig()
 
 def kernel_field(vf: VectorField):
     """The field of vf's kernel as f(z) -> p + iq with z = x + iy."""
-    shape, c = flow._shape(vf)
+    shape, c, _ = flow._shape(vf)
     field = flow._kernel(shape)[1]
     return lambda z: complex(*field(z.real, z.imag, *c))
 
 
 def kernel_steps(vf: VectorField, start, cfg: IntegratorConfig, traj):
     """The step stream of vf's kernel from start, recorded in traj."""
-    shape, c = flow._shape(vf)
+    shape, c, _ = flow._shape(vf)
     x, y = float(start[0]), float(start[1])
     return flow._kernel(shape)[0](traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *c)
 
@@ -281,10 +281,10 @@ class TestCompiledField:
 
     def test_no_unit_coefficient_is_written(self):
         vf = build_system(FamilyParams.make(b1=-1, c1=4, d1=-3))
-        assert flow._shape(vf) == (("y + c0*x*x*y", "-x + c1*x*y*y"), (-4.0, 4.0))
+        assert flow._shape(vf) == (("y + c0*x*x*y", "-x + c1*x*y*y"), (-4.0, 4.0), True)
         # a constant is a coefficient, whatever its value
         vf = VectorField(Poly2.const(F(-1)) + X, Poly2())
-        assert flow._shape(vf) == (("c0 + x", "0.0"), (-1.0,))
+        assert flow._shape(vf) == (("c0 + x", "0.0"), (-1.0,), False)
 
     def test_one_kernel_per_shape(self):
         # the control and its rescaling by 2 have one shape: one kernel, compiled once
@@ -672,7 +672,7 @@ class TestOrbitVerdict:
         # read as a periodic orbit of period about 5; the reading re-arms instead
         vf = build_system(FamilyParams.make(a1=1, d1=2))
         start = sample_points((1.0,), 8)[4]
-        assert start[0] == -1.0 and 0.0 < start[1] < 1e-15 and flow._reversible(vf)
+        assert start[0] == -1.0 and 0.0 < start[1] < 1e-15 and flow._shape(vf)[2]
         v = orbit_verdict(vf, start, CFG)
         noise = [c for t1, step in recorded_steps(v.trajectory)[:6] for c in flow._section_crossings(t1, step)]
         assert len(noise) == 2 and all(abs(xc + 1.0) < 1e-12 for _, xc, _, _ in noise)
@@ -690,7 +690,7 @@ class TestOrbitVerdict:
     def test_reversible_start_on_the_axis_at_an_equilibrium(self):
         # b1 = 1, c1 = 2, d1 = 1 is reversible, with the lines of equilibria x = +-1/2
         vf = build_system(FamilyParams.make(b1=1, c1=2, d1=1))
-        assert flow._reversible(vf)
+        assert flow._shape(vf)[2]
         for x in (0.5, -0.5):
             v = orbit_verdict(vf, (x, 0.0), CFG)
             assert v.reason == "start is an equilibrium or a section tangency"
@@ -878,8 +878,10 @@ class TestGlobalVerdict:
             cache.cache_clear()
         v = global_center_verdict(FamilyParams.make(b1=-1, c1=4, d1=-3))
         assert len(v.samples) == 32
-        # the field is written once, as its shape, and its kernel compiled once
+        # the field is written once, as its shape, and its kernel compiled once; each
+        # orbit then finds its shape, coefficients and reversibility in one lookup
         assert flow._shape.cache_info().misses == 1 and flow._kernel.cache_info().misses == 1
+        assert flow._shape.cache_info().hits == len(v.samples)
 
     def test_coefficient_beyond_float_range_refused_before_the_scans(self, monkeypatch):
         def scan(*args):
@@ -949,10 +951,10 @@ class TestTimeReversalCrossCheck:
         # (x, y, t) -> (x, -y, -t) maps orbits to orbits: p(x, -y) = -p, q(x, -y) = q
         vf = build_system(FamilyParams.make(**params))
         mirrored = vf.p.substitute(X, -Y) == -vf.p and vf.q.substitute(X, -Y) == vf.q
-        assert flow._reversible(vf) == mirrored
+        assert flow._shape(vf)[2] == mirrored
         nonzero = {k for k, v in params.items() if v}
         if not nonzero & {"a2", "b2", "c2", "d2"}:
-            assert flow._reversible(vf)
+            assert flow._shape(vf)[2]
 
     def test_mixed_slice_is_reversible(self):
         params = FamilyParams.make(b1=1, c1=-3, d1=2)

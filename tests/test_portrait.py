@@ -151,7 +151,7 @@ class TestDrawnFromRecords:
         # a periodic orbit of a reversible member (all here but b2 = d2 = 1) is drawn from
         # half its loop; the global member's 8 orbits all are
         periodic = [v for _, v in verdict.samples if v.tag == "periodic"]
-        assert all((v.certificate == "reversible") == flow._reversible(vf) for v in periodic)
+        assert all((v.certificate == "reversible") == flow._shape(vf)[2] for v in periodic)
         if base == dict(b1=1, c1=-4, d1=3):
             assert len(periodic) == 8
 

@@ -6,8 +6,9 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 
+from discflow import roots
 from discflow.equilibria import _within
-from discflow.roots import RealRoot, quadratic_roots, real_roots
+from discflow.roots import CELL_BITS, RealRoot, real_roots
 
 X = sympy.Symbol("x")
 
@@ -108,7 +109,7 @@ def _surd_is_enclosed(coeffs, root):
 def test_surd_approx_is_the_nearest_float(a):
     # a*x^2 + x + 1: a + b*sqrt(r) summed as floats cancels to 0.0 at the root near -1,
     # -1 - a - 2a^2 - ..., or overflows; only the root near -1/a may be past float range
-    (far, _), (near, _) = quadratic_roots(a, 1, 1)
+    (far, _), (near, _) = real_roots([1, 1, a])
     assert far.kind == near.kind == "surd" and near.approx() == -1.0
     lo, hi = near.bounds()
     assert hi - lo < F(1, 2**63) and lo < -1 - F(a) < hi
@@ -128,16 +129,16 @@ def test_surd_approx_is_the_nearest_float(a):
 )
 def test_surd_bounds_hold_the_root_and_its_float(mantissas, exponents):
     coeffs = [F(m) * F(10) ** e for m, e in zip(mantissas, exponents)]
-    for root, _ in quadratic_roots(*reversed(coeffs)):
+    for root, _ in real_roots(coeffs):
         if root.kind == "surd":
             _surd_is_enclosed(coeffs, root)
 
 
 def test_quadratic_roots_linear_and_empty():
-    assert quadratic_roots(0, 2, -4)[0][0].a == 2
-    assert quadratic_roots(0, 0, 5) == []
+    assert real_roots([-4, 2, 0])[0][0].a == 2
+    assert real_roots([5, 0, 0]) == []
     with pytest.raises(ValueError):
-        quadratic_roots(0, 0, 0)
+        real_roots([0, 0, 0])
 
 
 def test_exact_strings():
@@ -173,6 +174,42 @@ def test_rational_roots_of_high_degree_are_exact():
     roots = real_roots(coeffs)
     assert [r.kind for r, _ in roots] == ["interval", "rational", "interval", "rational"]
     assert roots[1][0].a == F(1, 1048583) and roots[3][0].a == 3
+
+
+def test_refinement_stops_below_one_over_the_leading_coefficient(monkeypatch):
+    # (2**100 + 1) x^3 - 2: a cell narrower than 1 / lc holds one multiple of 1 / lc, the
+    # only candidate for a rational root, so the irrational root is refined to bitlen(lc)
+    lc, depths, refine = 2**100 + 1, [], roots._refine
+
+    def spy(f, a, e, bits):
+        out = refine(f, a, e, bits)
+        depths.append(out[1])  # (a, e): the root is irrational
+        return out
+
+    monkeypatch.setattr(roots, "_refine", spy)
+    ((root, _),) = real_roots([-2, 0, 0, lc])
+    assert root.kind == "interval" and root.lo**3 * lc < 2 < root.hi**3 * lc
+    assert max(depths) == max(CELL_BITS, lc.bit_length())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-10**40, 10**40),
+    st.integers(1, 10**40),
+    st.integers(1, 2),
+    st.lists(st.integers(-50, 50), min_size=4, max_size=4).filter(lambda h: h[-1]),
+)
+def test_a_rational_root_beside_irrational_ones_is_exact(p, q, mult, h):
+    # (q x - p)**mult h(x), h an integer cubic with no rational root: p / q is exact (in the
+    # square-free quartic, the multiple of 1 / lc in its cell), h's real roots stay in cells
+    assume(sympy.Poly(list(reversed(h)), X).is_irreducible)
+    coeffs = h
+    for _ in range(mult):  # times q x - p
+        coeffs = [q * u - p * v for u, v in zip([0] + coeffs, coeffs + [0])]
+    found = real_roots(coeffs)
+    assert [(r.a, m) for r, m in found if r.kind == "rational"] == [(F(p, q), mult)]
+    others = [(r.kind, m) for r, m in found if r.kind != "rational"]
+    assert others == [("interval", 1)] * sympy.Poly(list(reversed(h)), X).count_roots()
 
 
 def test_roots_sharing_a_cell_get_finer_cells():

@@ -89,38 +89,37 @@ def _gap_probes(g: list):
     line of a gap it has a point above."""
     g = _divexact(g, _gcd(g, _partial_y(g)))
     res = _resultant(g, _partial_y(g), "y")
-    bounds = [r.bounds() for r, _ in real_roots(res)] if len(res) > 1 else []
-    yield from [lo - 1 for lo, _ in bounds[:1]]
-    yield from [(hi + lo) / 2 for (_, hi), (lo, _) in zip(bounds, bounds[1:])]
-    yield from [hi + 1 for _, hi in bounds[-1:]]
+    roots = [r for r, _ in real_roots(res)] if len(res) > 1 else []
+    yield from [r.lo - 1 for r in roots[:1]]
+    yield from [(r.hi + s.lo) / 2 for r, s in zip(roots, roots[1:])]
+    yield from [r.hi + 1 for r in roots[-1:]]
 
 
-def _within(root: RealRoot, radius: float, exact: Fraction | float) -> bool:
-    """|root| <= radius, on the enclosure first against exact, the radius as a Fraction
-    or inf: a root past a finite radius reads no float."""
-    return root.lo <= exact and -exact <= root.hi and abs(root.approx()) <= radius
+def _within(root: RealRoot, exact: Fraction | float) -> bool:
+    """Whether root's enclosure meets [-exact, exact], exact the radius as a Fraction
+    or inf; no float is read."""
+    return root.lo <= exact and -exact <= root.hi
 
 
 def _curve_points(g: list, radius: float, exact: Fraction | float) -> list[tuple[float, float]]:
-    """Points of the curve g = 0 (g an integer form) within the radius, the origin left out.
+    """Points of the curve g = 0 (g an integer form); the scan keeps those within the radius.
 
     A vertical line in the curve, x = c for a real root c of g's content in y,
     gives (c, 0), or (0, min(1, radius)) when c = 0; the rest of the curve gives
-    the first point found on the probe lines x = 0, ±1, ±1/2, ±2 or, when none
-    of them meets it, on the lines of `_gap_probes`.
+    the first non-origin point within the radius on the probe lines x = 0, ±1,
+    ±1/2, ±2 or, when none of them meets it, on the lines of `_gap_probes`.
     """
     content = reduce(_gcd, g)  # g's content in y
-    lines = [r.approx() for r, _ in real_roots(content) if _within(r, radius, exact)]
+    lines = [r.approx() for r, _ in real_roots(content) if _within(r, exact)]
     points = [(c, 0.0) if c else (0.0, min(1.0, radius)) for c in lines]
     for x0 in itertools.chain(_PROBES, _gap_probes(g)):
         coeffs = [sum(c * x0**i for i, c in enumerate(row)) for row in g]  # g(x0, y), in y
         roots = real_roots(coeffs) if any(coeffs[1:]) and abs(x0) <= radius else []
-        on_line = [(float(x0), r.approx()) for r, _ in roots if _within(r, radius, exact)]
+        on_line = [(float(x0), r.approx()) for r, _ in roots if _within(r, exact)]
         on_line = [pt for pt in on_line if 0 < math.hypot(*pt) <= radius]
         if on_line:
-            points.append(on_line[0])
-            break
-    return [pt for pt in points if 0 < math.hypot(*pt) <= radius]
+            return points + on_line[:1]
+    return points
 
 
 # Monomial-wise bounds of a polynomial over a box, in integers: p is scaled by
@@ -163,10 +162,11 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
     """All real non-origin equilibria with |(x, y)| <= radius, found exactly.
 
     Candidate coordinates come from the two elimination resultants of
-    (p, q); each candidate pair is confirmed by bounding p and q over the
-    (<= 1e-12 wide) box of its coordinates' `bounds()` in exact integer
-    interval arithmetic, which for a rational pair is exact evaluation at
-    the point.  A common factor of the two components (a curve of
+    (p, q), kept by their exact enclosures [lo, hi]; each candidate pair is
+    confirmed by bounding p and q over the (<= 1e-12 wide) box of those
+    enclosures in exact integer interval arithmetic, which for a rational
+    pair is exact evaluation at the point.  A float is read only for a point
+    the scan returns.  A common factor of the two components (a curve of
     equilibria) is divided out and witnessed by sample points on the curve.
     radius may be math.inf.
     """
@@ -179,14 +179,12 @@ def finite_equilibria(vf: VectorField, radius: float = 1e3) -> list[tuple[float,
         found = _curve_points(g, radius, exact)
         p, q = _divexact(p, g), _divexact(q, g)
         rx, ry = _resultant(p, q, "y"), _resultant(p, q, "x")
-    if len(rx) == 1 or len(ry) == 1 or not any(rx) or not any(ry):
-        return sorted(set(found))
-    xs = [r for r, _ in real_roots(rx) if _within(r, radius, exact)]
-    ys = [r for r, _ in real_roots(ry) if _within(r, radius, exact)]
+    # a resultant is still 0 only where p or q is the zero polynomial
+    xs, ys = ([r for r, _ in real_roots(h) if _within(r, exact)] if any(h) else [] for h in (rx, ry))
     x_degree, y_degree = max(len(row) for h in (p, q) for row in h) - 1, max(len(p), len(q)) - 1
-    y_powers = [_power_bounds(r.bounds(), y_degree) for r in ys]
+    y_powers = [_power_bounds((r.lo, r.hi), y_degree) for r in ys]
     for rx_root in xs:
-        xp = _power_bounds(rx_root.bounds(), x_degree)
+        xp = _power_bounds((rx_root.lo, rx_root.hi), x_degree)
         for ry_root, yp in zip(ys, y_powers):
             if all(_box_holds_zero(a, xp, yp) for a in (p, q)):
                 found.append((rx_root.approx(), ry_root.approx()))

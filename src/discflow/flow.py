@@ -379,9 +379,9 @@ def orbit_verdict(
     resting at an equilibrium) closes the orbit with its mirror (x, -y):
     periodic, certificate "reversible", period twice the time between them,
     closure_error the gap 2*max|y| where the halves join, record cut there.
-    Each phase gets its own max_time, counted from where it starts, and an
-    exit time is counted from there too.  A start that is an equilibrium or
-    a tangency is judged before any integration.
+    Each phase gets its own max_time, counted from where it starts (a re-arm
+    keeps it), and an exit time from the last arming.  A start that is an
+    equilibrium or a tangency is judged before any integration.
     """
     cfg, traj, (shape, coefficients, reversible) = cfg or IntegratorConfig(), Trajectory(), _shape(vf)
     steps, field = _kernel(shape)
@@ -413,7 +413,8 @@ def orbit_verdict(
                         return OrbitVerdict.periodic(tc - t_from, abs(xc - x_from), traj)
                     reason = f"section return displaced by {xc - x_from:+.3e}"
                     return OrbitVerdict.inconclusive(reason, traj)
-                direction, t_from, x_from, y_from, deadline = d, tc, xc, yc, tc + cfg.max_time
+                deadline = deadline if direction else tc + cfg.max_time  # a re-arm keeps its clock
+                direction, t_from, x_from, y_from = d, tc, xc, yc
             if t1 > deadline:
                 if direction is None:
                     section = "{y = 0}" if reversible else "{y = 0, x > 0}"

@@ -66,10 +66,6 @@ class RealRoot:
         (a, b), (c, d) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         return (a * d + c * b) / (2 * b * d)
 
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        """The exact enclosure (lo, hi); lo == hi for a rational."""
-        return self.lo, self.hi
-
     def exact_str(self) -> str:
         if self.kind == "rational":
             return str(self.a)
@@ -326,7 +322,7 @@ def real_roots(coeffs: list[Fraction]) -> list[tuple[RealRoot, int]]:
     shift = next(k for k, c in enumerate(f) if c)
     f = _primitive(f[shift:])  # one integer form, so a surd's text does not depend on the scale
     if len(f) > 3:  # rationals and cells that hold no other root: their bounds order them
-        out = sorted(_isolate_high_degree(f), key=lambda pair: pair[0].bounds())
+        out = sorted(_isolate_high_degree(f), key=lambda pair: (pair[0].lo, pair[0].hi))
     else:  # degree <= 2: closed forms, in order
         out = _closed_form(f)
     if shift:  # 0 is no root of the rest, and no enclosure holds it: it goes after hi <= 0

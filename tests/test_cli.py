@@ -324,6 +324,17 @@ def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
     assert json.loads(run.stdout)["tag"] == "not-global"
 
 
+def test_verify_ends_on_an_orbit_resting_at_an_equilibrium(tmp_path):
+    # b1 = 1: the fan start (-1, 1.2e-16) sits on the equilibrium (-1, 0) and crosses the
+    # x-axis at rounding level forever; each re-arm keeps its phase's max_time
+    params = write_params(tmp_path, b1="1")
+    cmd = [sys.executable, "-m", "discflow.cli", "verify", "--params", params]
+    run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1, run.stderr
+    reasons = [s["verdict"].get("reason") for s in json.loads(run.stdout)["samples"]]
+    assert "no section return within max_time" in reasons
+
+
 @pytest.mark.parametrize("command, code", [("verify", 2), ("portrait", 0)])
 def test_no_center_warning_is_one_stderr_line(tmp_path, command, code):
     params = write_params(tmp_path, c2="1")

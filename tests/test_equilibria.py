@@ -275,7 +275,8 @@ def intervals(draw):
         assume(any(coeffs[1:]))
         roots = real_roots(coeffs)
         assume(roots)
-        return draw(st.sampled_from(roots))[0].bounds()
+        root = draw(st.sampled_from(roots))[0]
+        return (root.lo, root.hi)
     if kind == "straddle":
         return (-draw(st.fractions(F(1, 10**6), 5)), draw(st.fractions(F(1, 10**6), 5)))
     centre = draw(rationals.filter(bool))
@@ -299,7 +300,8 @@ def test_integer_box_check_matches_the_exact_bounds(terms, bx, by, through_corne
 
 def test_box_check_rejects_a_plain_miss_and_keeps_a_hit():
     p = X * X - 2  # no zero near x = 1, a zero at sqrt(2)
-    box = real_roots([F(-2), F(0), F(1)])[1][0].bounds()
+    root = real_roots([F(-2), F(0), F(1)])[1][0]
+    box = (root.lo, root.hi)
     one = (F(1), F(1))
     assert not _holds_zero(p, one, one, 2)
     assert _holds_zero(p, box, one, 2)
@@ -325,8 +327,7 @@ def _roots(p, q, eliminate):
 
 
 def _next_cell(root):
-    lo, hi = root.bounds()
-    return (hi, 2 * hi - lo)
+    return (root.hi, 2 * root.hi - root.lo)
 
 
 def test_an_interval_x_paired_with_a_rational_y():
@@ -336,8 +337,8 @@ def test_an_interval_x_paired_with_a_rational_y():
     assert [r.kind for r in xs] == ["rational", "interval"] and [r.kind for r in ys] == ["rational"] * 2
     assert finite_equilibria(VectorField(p, q), math.inf) == [(1.0, 3.0), (xs[1].approx(), 1.0)]
     # the cell beside the cube root's, at y = 1, holds no zero of q
-    assert _holds_zero(q, xs[1].bounds(), ys[0].bounds())
-    assert not _holds_zero(q, _next_cell(xs[1]), ys[0].bounds())
+    assert _holds_zero(q, (xs[1].lo, xs[1].hi), (ys[0].lo, ys[0].hi))
+    assert not _holds_zero(q, _next_cell(xs[1]), (ys[0].lo, ys[0].hi))
 
 
 def test_a_surd_x_paired_with_a_cell_y():
@@ -349,9 +350,9 @@ def test_a_surd_x_paired_with_a_cell_y():
     got = finite_equilibria(VectorField(p, q), math.inf)
     assert got == [(xs[0].approx(), ys[0].approx()), (0.0, 1.0), (xs[2].approx(), ys[2].approx())]
     # (sqrt(2), 1 - sqrt(2)) is a candidate and no equilibrium; neither is the cell beside 1 + sqrt(2)
-    assert not _holds_zero(q, xs[2].bounds(), ys[0].bounds())
-    assert _holds_zero(q, xs[2].bounds(), ys[2].bounds())
-    assert not _holds_zero(q, xs[2].bounds(), _next_cell(ys[2]))
+    assert not _holds_zero(q, (xs[2].lo, xs[2].hi), (ys[0].lo, ys[0].hi))
+    assert _holds_zero(q, (xs[2].lo, xs[2].hi), (ys[2].lo, ys[2].hi))
+    assert not _holds_zero(q, (xs[2].lo, xs[2].hi), _next_cell(ys[2]))
 
 
 # -- the scan and the verdict --------------------------------------------------------
@@ -372,6 +373,11 @@ def test_roots_past_float_range_lie_outside_a_finite_radius(vf):
     assert finite_equilibria(vf, 1e3) == []
     with pytest.raises(OverflowError):  # with no radius the points must be read as floats
         finite_equilibria(vf, math.inf)
+
+
+def test_a_root_past_float_range_of_no_real_equilibrium_reads_no_float():
+    # Res_y = (x - 10**400)**2 has a root past float range, but y**2 + 1 > 0: no equilibrium
+    assert finite_equilibria(VectorField(Y * Y + 1, X - 10**400), math.inf) == []
 
 
 def test_the_verdict_names_an_equilibrium_past_float_range():

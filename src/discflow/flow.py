@@ -12,12 +12,12 @@ or in a drawing) is the dense output evaluated; sign changes are bisected to
 1e-12 on it, so section crossings arrive in time order.  Escape is an outward
 crossing of the escape radius, where the loop cuts the step at the exit and
 ends the stream.  One reader, `orbit_verdict`, turns that stream into every
-verdict, and each verdict carries its record, which the portrait draws and
+verdict, and each verdict carries its records, which the portrait draws and
 along which `first_integral_check` measures the float drift of an exact first
 integral (from `family.hamiltonian`).  On a field reversible under
 (x, y, t) -> (x, -y, -t) an orbit that meets the x-axis twice is periodic
-(Devaney 1976), so there the reader stops at the second crossing.  The exact
-scan for other finite equilibria is in `equilibria`.
+(Devaney 1976): the start and its mirror (x, -y), each carried to the axis,
+read it.  The exact scan for other finite equilibria is in `equilibria`.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class Trajectory:
     """The record of one orbit: its accepted steps, 18 floats each, in `steps`.
 
     A step is t0, h, x, y, then (x, y) of its dense-output coefficients F0..F6
-    (see `_dense`); an escaped orbit ends at its exit, a periodic orbit of a
-    reversible field at its second crossing of the x-axis.  The start
+    (see `_dense`); an escaped orbit ends at its exit, an orbit of a reversible
+    field that reaches the x-axis at its first crossing there.  The start
     costs 2 field evaluations, an accepted step 15 (12 stages and the 3 extra
     ones of the dense output) and a `rejected` attempt 11 (no stage 12)."""
 
@@ -111,22 +111,23 @@ class OrbitVerdict:
     closure_error: float | None = None
     reason: str | None = None
     certificate: str | None = None  # "reversible" where the mirror closed the orbit
-    # the record the verdict was read from, for drawing; not part of its value
+    # the records read, for drawing, not part of the value: the start's, then (x, -y)'s
     trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
+    mirror_trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def periodic(cls, period: float, closure_error: float, trajectory=None,
-                 certificate: str | None = None) -> "OrbitVerdict":
-        return cls("periodic", period=period, closure_error=closure_error,
-                   certificate=certificate, trajectory=trajectory)
+                 certificate: str | None = None, mirror=None) -> "OrbitVerdict":
+        return cls("periodic", period=period, closure_error=closure_error, certificate=certificate,
+                   trajectory=trajectory, mirror_trajectory=mirror)
 
     @classmethod
-    def escaping(cls, exit_time: float, trajectory=None) -> "OrbitVerdict":
-        return cls("escaping", exit_time=exit_time, trajectory=trajectory)
+    def escaping(cls, exit_time: float, trajectory=None, mirror=None) -> "OrbitVerdict":
+        return cls("escaping", exit_time=exit_time, trajectory=trajectory, mirror_trajectory=mirror)
 
     @classmethod
-    def inconclusive(cls, reason: str, trajectory=None) -> "OrbitVerdict":
-        return cls("inconclusive", reason=reason, trajectory=trajectory)
+    def inconclusive(cls, reason: str, trajectory=None, mirror=None) -> "OrbitVerdict":
+        return cls("inconclusive", reason=reason, trajectory=trajectory, mirror_trajectory=mirror)
 
     def to_json(self) -> dict:
         names = ("tag", "period", "exit_time", "closure_error", "reason", "certificate")
@@ -363,30 +364,41 @@ def _section_crossings(t1: float, step):
         ta, ya = tb, yb
 
 
+def _axis_carry(steps, traj: Trajectory, x: float, y: float, budget: float, cfg, coefficients):
+    """(t, x, y) where the orbit from (x, y), recorded in traj and cut there, first crosses
+    the x-axis after _T_GUARD; None where it escapes (traj.escaped) or runs past budget first."""
+    for t1, step in steps(traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *coefficients):
+        for tc, xc, yc, _ in _section_crossings(t1, step) if _may_cross(step) else ():
+            if _T_GUARD < tc <= budget:
+                traj.t_end = tc
+                return tc, xc, yc
+        if t1 > budget:
+            return None
+
+
 def orbit_verdict(
     vf: VectorField, point: tuple[float, float], cfg: IntegratorConfig | None = None
 ) -> OrbitVerdict:
-    """The verdict read off one integration from point, carrying its record.
+    """The verdict read off the integration from point, carrying its records.
 
-    A start on the section {y = 0, x > 0} is armed there at t = 0: the
-    orientation of its crossing is fixed, and the verdict is read at the first
-    later crossing with that orientation: periodic within section_closure_tol,
-    else inconclusive, never coerced.  Any other start is carried to its
-    first hit of the section and armed there, and the return map reads on in
-    the same integration.  On a reversible field (see `_shape`) the section
-    is the x-axis, crossed either way, and the next crossing more than
-    section_closure_tol from the armed one (nearer, it re-arms: an orbit
-    resting at an equilibrium) closes the orbit with its mirror (x, -y):
-    periodic, certificate "reversible", period twice the time between them,
-    closure_error the gap 2*max|y| where the halves join, record cut there.
-    Each phase gets its own max_time, counted from where it starts (a re-arm
-    keeps it), and an exit time from the last arming.  A start that is an
+    On a reversible field (see `_shape`) the backward orbit from s = (x, y)
+    mirrors the forward one from s' = (x, -y).  So s is carried to b, its
+    first crossing of the x-axis, at t_b, then s' to its own, a, at t_a (a
+    start on the axis is its own mirror: a = s, t_a = 0).  With a and b more
+    than section_closure_tol apart the orbit is periodic, certificate
+    "reversible", period 2*(t_a + t_b), closure_error 2*max|y| at a and b;
+    else inconclusive.  Any other field reads the return map: a start on the
+    section {y = 0, x > 0} is armed at t = 0, any other carried to its first
+    hit of it and armed there, and the next crossing with that orientation
+    is periodic within section_closure_tol, else inconclusive, never coerced.
+    The carry and the return from the arming (from b: t_b + t_a) each get
+    max_time; an exit time counts from the arming.  A start that is an
     equilibrium or a tangency is judged before any integration.
     """
     cfg, traj, (shape, coefficients, reversible) = cfg or IntegratorConfig(), Trajectory(), _shape(vf)
     steps, field = _kernel(shape)
     x, y = float(point[0]), float(point[1])
-    t_from, x_from, y_from, deadline, direction = 0.0, x, y, cfg.max_time, None
+    t_from, x_from, deadline, direction, mirror = 0.0, x, cfg.max_time, None, None
     p0, q0 = field(x, y, *coefficients)
     if y == 0.0 and (x > 0.0 or reversible and x < 0.0):  # q0: +1 up, -1 down, 0 tangent
         direction = (q0 > 0.0) - (q0 < 0.0)
@@ -395,35 +407,42 @@ def orbit_verdict(
     elif p0 == q0 == 0.0:
         return OrbitVerdict.inconclusive("initial condition is an equilibrium")
     try:
+        if reversible:  # s carried to b, then s' = (x, -y) to a, each in its own record
+            b = _axis_carry(steps, traj, x, y, cfg.max_time, cfg, coefficients)
+            if b is None and traj.escaped and traj.t_end <= cfg.max_time:
+                return OrbitVerdict.escaping(traj.t_end, traj)
+            if b is None:  # a start on the axis is armed there, so its carry is the return
+                reason = "orbit never reaches the section {y = 0}" if direction is None else (
+                    "no section return within max_time")
+                return OrbitVerdict.inconclusive(reason, traj)
+            mirror, budget = Trajectory(), cfg.max_time - b[0]  # empty from a start on the axis
+            a = (0.0, x, y) if y == 0.0 else _axis_carry(steps, mirror, x, -y, budget, cfg, coefficients)
+            if a is None and mirror.escaped and mirror.t_end <= budget:
+                return OrbitVerdict.escaping(b[0] + mirror.t_end, traj, mirror)
+            if a is None or abs(a[1] - b[1]) <= cfg.section_closure_tol:
+                reason = "both crossings of the x-axis at one point" if a else (
+                    "no section return within max_time")
+                return OrbitVerdict.inconclusive(reason, traj, mirror)
+            gap = 2.0 * max(abs(a[2]), abs(b[2]))
+            return OrbitVerdict.periodic(2.0 * (a[0] + b[0]), gap, traj, "reversible", mirror)
         for t1, step in steps(traj, x, y, cfg.rel_tol, cfg.abs_tol, cfg.escape_radius, *coefficients):
-            for tc, xc, yc, d in _section_crossings(t1, step) if _may_cross(step) else ():
+            for tc, xc, _, d in _section_crossings(t1, step) if _may_cross(step) else ():
                 if tc > deadline:
                     break
-                if tc - t_from <= _T_GUARD:
+                if tc - t_from <= _T_GUARD or xc <= 0.0 or direction not in (None, d):
                     continue
-                if reversible:  # the half orbit and its mirror (x, -y) join at a second point
-                    if direction is not None and abs(xc - x_from) > cfg.section_closure_tol:
-                        traj.t_end = tc
-                        gap = 2.0 * max(abs(y_from), abs(yc))
-                        return OrbitVerdict.periodic(2.0 * (tc - t_from), gap, traj, "reversible")
-                elif xc <= 0.0 or direction not in (None, d):
-                    continue
-                elif direction is not None:
+                if direction is not None:
                     if abs(xc - x_from) <= cfg.section_closure_tol:
                         return OrbitVerdict.periodic(tc - t_from, abs(xc - x_from), traj)
                     reason = f"section return displaced by {xc - x_from:+.3e}"
                     return OrbitVerdict.inconclusive(reason, traj)
-                deadline = deadline if direction else tc + cfg.max_time  # a re-arm keeps its clock
-                direction, t_from, x_from, y_from = d, tc, xc, yc
+                deadline, direction, t_from, x_from = tc + cfg.max_time, d, tc, xc
             if t1 > deadline:
-                if direction is None:
-                    section = "{y = 0}" if reversible else "{y = 0, x > 0}"
-                    reason = f"orbit never reaches the section {section}"
-                else:
-                    reason = "no section return within max_time"
+                reason = "orbit never reaches the section {y = 0, x > 0}" if direction is None else (
+                    "no section return within max_time")
                 return OrbitVerdict.inconclusive(reason, traj)
     except StepUnderflow as exc:
-        return OrbitVerdict.inconclusive(f"integrator failure: {exc}", traj)
+        return OrbitVerdict.inconclusive(f"integrator failure: {exc}", traj, mirror)
     return OrbitVerdict.escaping(traj.t_end - t_from, traj)
 
 
@@ -431,9 +450,9 @@ def orbit_verdict(
 
 
 def first_integral_check(vf: VectorField, h: Poly2, verdict: OrbitVerdict) -> float:
-    """Max drift of h along the verdict's record, over [0, period] for a periodic
-    verdict, or its record's end if sooner (a reversible verdict records half an
-    orbit), else over the whole record; h must be exactly conserved."""
+    """Max drift of h along the start's record, over [0, period] for a periodic
+    verdict, or the record's end if sooner (a reversible verdict's ends on the
+    x-axis), else over the whole record; h must be exactly conserved."""
     if not lie_derivative(h, vf).is_zero:
         raise NotConserved("Lie derivative of the candidate is not the zero polynomial")
     traj = verdict.trajectory
@@ -477,8 +496,11 @@ class GlobalVerdict:
 
 
 def sample_points(radii, angles: int = DEFAULT_ANGLES) -> list[tuple[float, float]]:
-    thetas = [2.0 * math.pi * k / angles for k in range(angles)]
-    return [(float(r) * math.cos(t), float(r) * math.sin(t)) for r in radii for t in thetas]
+    """Starts at 2*pi*k/angles per radius: past pi the exact mirrors (x, -y), at 0 and pi (+-r, 0.0)."""
+    thetas = [2.0 * math.pi * min(k, angles - k) / angles for k in range(angles)]
+    units = [(math.cos(t), 0.0 if 2 * k == angles else math.copysign(math.sin(t), angles - 2 * k))
+             for k, t in enumerate(thetas)]
+    return [(float(r) * c, float(r) * s) for r in radii for c, s in units]
 
 
 def global_center_verdict(

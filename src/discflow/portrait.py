@@ -92,13 +92,15 @@ def render_portrait(
 ) -> str:
     """Draw the sampled orbits of a verdict inside the Poincare disc.
 
-    Each orbit is drawn from the record its verdict carries, with no new
-    integration: a periodic orbit over its period, an escaping one to its
-    exit from the escape radius, an inconclusive one to EXTRA_TIME or
-    its record's end, whichever comes first; a "reversible" periodic record,
-    half a loop, is drawn with its mirror (x, -y) in reverse after it.  A
-    sample with no record (an equilibrium or tangency start) is skipped.  vf
-    and cfg are not read.
+    Each orbit is one polyline of SAMPLES_PER_ORBIT points off the records its
+    verdict carries, with no new integration: a periodic orbit over its
+    period, an escaping one to its exit from the escape radius, an
+    inconclusive one to EXTRA_TIME or its record's end, whichever comes first.
+    On a reversible field the loop s, b, s', a, s is the start's record, its
+    mirror (x, -y) in reverse, the mirror start's record, and on a periodic
+    orbit its mirror in reverse, each piece whole and an equal share of the
+    points.  A sample with no record (an equilibrium or tangency start) is
+    skipped.  vf and cfg are not read.
     """
     spec = spec or PortraitSpec()
     svg = _Svg(spec.width, spec.height)
@@ -108,16 +110,22 @@ def render_portrait(
     svg.circle(cx, cy, scale, stroke="#000000", width=1.5)
 
     for _, orbit in verdict.samples:
-        traj = orbit.trajectory
-        if traj is None or not traj.steps:
+        # the start's record is mirrored once the mirror start's exists (empty from a start on
+        # the axis), and that one on a periodic loop: both then end on the axis
+        mirror = orbit.mirror_trajectory
+        parts = [(record, mirrored) for record, mirrored in (
+            (orbit.trajectory, mirror is not None), (mirror, orbit.certificate == "reversible"))
+            if record is not None and record.steps]
+        if not parts:
             continue
-        t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
+        t_stop = {"periodic": orbit.period, "escaping": math.inf}.get(orbit.tag, EXTRA_TIME)
+        n, points = SAMPLES_PER_ORBIT // sum(1 + mirrored for _, mirrored in parts), []
+        for record, mirrored in parts:
+            piece = record.sample(n, min(math.inf if mirrored else t_stop, record.t_end))
+            points += piece + [(t, x, -y) for t, x, y in reversed(piece)] * mirrored
         # disc_projection inlined, one format per polyline; a point lies at least MARGIN
         # inside the image, so no -0.000
-        flat, mirrored = [], orbit.certificate == "reversible"
-        points = traj.sample(SAMPLES_PER_ORBIT // (1 + mirrored), min(t_stop, traj.t_end))
-        if mirrored:
-            points += [(t, x, -y) for t, x, y in reversed(points)]
+        flat = []
         for _, x, y in points:
             q = 1.0 / (1.0 + math.hypot(x, y))
             flat += (cx + scale * (x * q), cy - scale * (y * q))

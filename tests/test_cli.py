@@ -325,14 +325,17 @@ def test_verify_overflowing_radius_exits_without_traceback(tmp_path):
 
 
 def test_verify_ends_on_an_orbit_resting_at_an_equilibrium(tmp_path):
-    # b1 = 1: the fan start (-1, 1.2e-16) sits on the equilibrium (-1, 0) and crosses the
-    # x-axis at rounding level forever; each re-arm keeps its phase's max_time
+    # b1 = 1: the fan start at angle pi, r = 1, is (-1, 0.0), the equilibrium (-1, 0) itself,
+    # judged before any integration; 1.2e-16 off it, an orbit crossed the x-axis at rounding
+    # level forever
     params = write_params(tmp_path, b1="1")
     cmd = [sys.executable, "-m", "discflow.cli", "verify", "--params", params]
     run = subprocess.run(cmd, env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert run.returncode == 1, run.stderr
-    reasons = [s["verdict"].get("reason") for s in json.loads(run.stdout)["samples"]]
-    assert "no section return within max_time" in reasons
+    samples = {tuple(s["point"]): s["verdict"] for s in json.loads(run.stdout)["samples"]}
+    assert samples[(-1.0, 0.0)] == {
+        "tag": "inconclusive", "reason": "start is an equilibrium or a section tangency"}
+    assert "no section return within max_time" not in [v.get("reason") for v in samples.values()]
 
 
 @pytest.mark.parametrize("command, code", [("verify", 2), ("portrait", 0)])

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 import signal
 import struct
@@ -23,6 +25,7 @@ from discflow.family import (
     lie_derivative,
 )
 from discflow.flow import (
+    DEFAULT_ANGLES,
     IntegratorConfig,
     StepUnderflow,
     finite_equilibria,
@@ -644,39 +647,71 @@ class TestOrbitVerdict:
             assert orbit_verdict(vf, (r, -0.0), CFG) == orbit_verdict(vf, (r, 0.0), CFG)
 
     @pytest.mark.parametrize(
-        ("start", "t_arm"), [((1.0, 0.0), 0.0), ((0.0, 1.0), math.pi / 2), ((-1.0, 0.0), 0.0)]
+        ("start", "t_a"), [((1.0, 0.0), 0.0), ((0.0, 1.0), math.pi / 2), ((-1.0, 0.0), 0.0)]
     )
-    def test_reversible_field_reads_half_a_loop(self, start, t_arm):
-        # LINEAR is reversible: armed at its first crossing of y = 0 (at t = 0 on the
-        # axis, either side), periodic at the next, half a loop later, on the other side
+    def test_reversible_field_reads_half_a_loop(self, start, t_a):
+        # LINEAR is reversible: the start is carried to its first crossing b of y = 0, its
+        # mirror (x, -y) to its own, a, at t_a; a start on the axis, either side, is its own
+        # mirror (a = start, t_a = 0, an empty record); the two are half a loop, a to b
         v = orbit_verdict(LINEAR, start, CFG)
         assert v.tag == "periodic" and v.certificate == "reversible"
         assert v.period == pytest.approx(2 * math.pi, abs=1e-9)
-        assert v.trajectory.t_end == pytest.approx(t_arm + math.pi, abs=1e-9)
-        _, x, y = v.trajectory.sample(2)[-1]
-        x_arm = -1.0 if start == (-1.0, 0.0) else 1.0
-        assert x == pytest.approx(-x_arm, abs=1e-9) and abs(y) <= v.closure_error / 2
+        assert (not v.mirror_trajectory.steps) == (start[1] == 0.0)
+        x_a = start[0] if start[1] == 0.0 else -1.0
+        for record, t_end, x_end in ((v.trajectory, math.pi - t_a, -x_a), (v.mirror_trajectory, t_a, x_a)):
+            assert record.t_end == pytest.approx(t_end, abs=1e-9)
+            _, x, y = record.sample(2)[-1] if record.steps else (0.0, *start)
+            assert x == pytest.approx(x_end, abs=1e-9) and abs(y) <= v.closure_error / 2
         assert 0.0 <= v.closure_error < 1e-9
         assert v.to_json()["certificate"] == "reversible"
+        assert v.to_json() == orbit_verdict(LINEAR, (start[0], -start[1]), CFG).to_json()
 
     def test_closure_is_the_gap_where_the_mirror_joins(self):
-        # armed at t = 0 on the axis (y = 0), so the gap is twice |y| at the second crossing
+        # a start on the axis is its own mirror (y = 0 at a), so the gap is twice |y| at b
         v = orbit_verdict(LINEAR, (2.0, 0.0), CFG)
         traj = v.trajectory
         last = traj.steps[-flow._STRIDE :]
         assert v.closure_error == 2.0 * abs(flow._dense(last, traj.t_end)[1])
 
     def test_sign_changes_at_one_point_certify_nothing(self):
-        # the fan's start at angle pi, r = 1, lies 1.2e-16 from the saddle (-1, 0) of this
-        # reversible member: y changes sign twice there at rounding level, which would
-        # read as a periodic orbit of period about 5; the reading re-arms instead
+        # (-1, 1.2e-16), the float of the angle pi at r = 1, lies 1.2e-16 from the saddle
+        # (-1, 0) of this reversible member: y changes sign twice there at rounding level,
+        # which would read as a periodic orbit of period about 5.  The start and its mirror
+        # each cross the axis there, so the reading certifies nothing
         vf = build_system(FamilyParams.make(a1=1, d1=2))
-        start = sample_points((1.0,), 8)[4]
-        assert start[0] == -1.0 and 0.0 < start[1] < 1e-15 and flow._shape(vf)[2]
-        v = orbit_verdict(vf, start, CFG)
-        noise = [c for t1, step in recorded_steps(v.trajectory)[:6] for c in flow._section_crossings(t1, step)]
+        start = (-1.0, 1.2246467991473532e-16)
+        assert flow._shape(vf)[2]
+        traj = flow.Trajectory()
+        noise = [c for t1, step in itertools.islice(kernel_steps(vf, start, CFG, traj), 6)
+                 for c in flow._section_crossings(t1, step)]
         assert len(noise) == 2 and all(abs(xc + 1.0) < 1e-12 for _, xc, _, _ in noise)
-        assert v.tag == "escaping"
+        v = orbit_verdict(vf, start, CFG)
+        assert v.tag == "inconclusive" and v.reason == "both crossings of the x-axis at one point"
+        for record in (v.trajectory, v.mirror_trajectory):
+            assert abs(record.sample(2)[-1][1] + 1.0) < 1e-12
+
+    def test_a_start_on_a_separatrix_to_rounding_is_not_certified(self):
+        # a1 = -1: the start (-1, 1.2e-16) lies 1.2e-16 outside the triangle of invariant lines
+        # whose corners are the saddles (-1, 0) and (1/2, +-sqrt(3)/2), where orbits escape;
+        # its numerical orbit, which used to read periodic (period 79.6) after running along
+        # the triangle, and that of its mirror both cross the axis by the saddle (-1, 0)
+        vf = build_system(FamilyParams.make(a1=-1))
+        v = orbit_verdict(vf, (-1.0, 1.2246467991473532e-16), CFG)
+        assert v.tag == "inconclusive" and v.reason == "both crossings of the x-axis at one point"
+        assert orbit_verdict(vf, (-1.0, 0.0), CFG).reason == "start is an equilibrium or a section tangency"
+
+    @pytest.mark.parametrize(
+        ("start", "reason"),
+        [((-1.0, 0.0), "no section return within max_time"),
+         ((-1.0, 1.2246467991473532e-16), "orbit never reaches the section {y = 0}")],
+    )
+    def test_an_exit_past_max_time_is_read_as_time_out(self, start, reason):
+        # a1 = 1, c1 = -1: one step from before max_time leaves the escape radius at t = 333,
+        # past it; a start on the axis is armed there, so its carry to the axis is its return
+        vf = build_system(FamilyParams.make(a1=1, c1=-1))
+        v = orbit_verdict(vf, start, CFG)
+        assert v.trajectory.escaped and v.trajectory.t_end > CFG.max_time
+        assert v.tag == "inconclusive" and v.reason == reason and v.mirror_trajectory is None
 
     @pytest.mark.parametrize("start", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
     def test_non_reversible_field_reads_a_full_return(self, start):
@@ -762,7 +797,7 @@ class TestFirstIntegrals:
             first_integral_check(vf, h, orbit_verdict(vf, (1.0, 0.0), CFG))
 
     def test_periodic_verdict_is_read_over_its_period_or_its_record(self, monkeypatch):
-        # the full return records past one period, the reversible reading half of it
+        # the full return records past one period, the reversible reading the start's record
         read, sample = [], flow.Trajectory.sample
         monkeypatch.setattr(flow.Trajectory, "sample", lambda traj, n, t_end=None: (
             read.append(t_end) or sample(traj, n, t_end)))
@@ -773,7 +808,8 @@ class TestFirstIntegrals:
             records.append(v.trajectory)
         full, half = records
         assert full.t_end > read[0] == pytest.approx(2 * math.pi, abs=1e-6)
-        assert read[1] == half.t_end == pytest.approx(1.5 * math.pi, abs=1e-9)
+        # the start's record, from (0, 1) to the axis, a quarter of the loop
+        assert read[1] == half.t_end == pytest.approx(0.5 * math.pi, abs=1e-9)
 
     def test_escaping_verdict_is_read_over_its_whole_record(self):
         # H = -1 on the control's orbit from (1, 1), out to the escape radius
@@ -882,6 +918,8 @@ class TestGlobalVerdict:
         # orbit then finds its shape, coefficients and reversibility in one lookup
         assert flow._shape.cache_info().misses == 1 and flow._kernel.cache_info().misses == 1
         assert flow._shape.cache_info().hits == len(v.samples)
+        # the control is reversible: the mirror starts' carries take no lookup of their own
+        assert sum(bool(s.mirror_trajectory and s.mirror_trajectory.steps) for _, s in v.samples) > 0
 
     def test_coefficient_beyond_float_range_refused_before_the_scans(self, monkeypatch):
         def scan(*args):
@@ -900,6 +938,61 @@ class TestGlobalVerdict:
         assert pts[0] == (0.5, 0.0)
         assert pts[1] == pytest.approx((0.0, 0.5))
         assert len(pts) == 8
+
+    @pytest.mark.parametrize("angles", [1, 2, 3, 4, 7, 8, 12])
+    def test_fan_mirrors_exactly(self, angles):
+        # the angles in [0, pi] are computed, the rest are their exact mirrors (x, -y), and
+        # the starts at 0 and pi lie on the x-axis itself
+        radii = (0.5, 1.0, 2.0, 5.0)
+        pts = sample_points(radii, angles)
+        assert len(pts) == len(radii) * angles
+        for i, r in enumerate(radii):
+            fan = pts[i * angles : (i + 1) * angles]
+            assert fan[0] == (r, 0.0) and math.copysign(1.0, fan[0][1]) == 1.0
+            if angles % 2 == 0:
+                assert fan[angles // 2] == (-r, 0.0) and math.copysign(1.0, fan[angles // 2][1]) == 1.0
+            for k in range(1, angles):
+                if 2 * k != angles:
+                    assert fan[angles - k] == (fan[k][0], -fan[k][1])
+                    assert (fan[k][1] > 0.0) == (2 * k < angles)
+                theta = 2.0 * math.pi * k / angles
+                assert fan[k] == pytest.approx((r * math.cos(theta), r * math.sin(theta)), abs=1e-15 * r)
+
+    @pytest.mark.parametrize(
+        "params",
+        [dict(c1=F(-1, 5), d1=F(1, 5)), dict(a1=F(7, 10), c1=F(-49, 50)), dict(a1=1, b1=1, d1=-1)],
+        ids=["g", "c-costly", "iii-line-a1"],
+    )
+    def test_mirrored_periodic_verdicts_are_bitwise_equal(self, params):
+        # each verdict carries the start and its mirror to the axis, the mirror start's verdict
+        # the same two, so a periodic pair reads the same period 2*(t_a + t_b) and gap
+        v = global_center_verdict(FamilyParams.make(**params))
+        samples, angles, pairs = v.samples, DEFAULT_ANGLES, 0
+        for i in range(0, len(samples), angles):
+            for k in range(1, angles // 2):
+                (pt, one), (mirror_pt, other) = samples[i + k], samples[i + angles - k]
+                assert mirror_pt == (pt[0], -pt[1]) and pt[1] > 0.0
+                if one.tag == "periodic" or other.tag == "periodic":
+                    assert json.dumps(one.to_json()) == json.dumps(other.to_json()), pt
+                    pairs += 1
+        assert pairs >= 6
+
+    def test_escape_past_the_mirror_start_is_timed_from_the_arming(self):
+        # on a portrait-center member, an orbit that escapes after its mirror start's carry
+        # reads exit time t_b + that carry's exit time; the stream from the start run on past b
+        # reaches the exit after t_b + that same exit time
+        vf = build_system(FamilyParams.make(a1=1, b1=1, d1=-1))
+        checked = 0
+        for pt in sample_points(flow.DEFAULT_RADII, DEFAULT_ANGLES):
+            v = orbit_verdict(vf, pt, CFG)
+            if v.tag != "escaping" or v.mirror_trajectory is None:
+                continue
+            traj = flow.Trajectory()
+            assert run_steps(kernel_steps(vf, pt, CFG, traj), 10 * CFG.max_time, 10**6) is None
+            assert traj.escaped
+            assert traj.t_end - v.trajectory.t_end == pytest.approx(v.exit_time, rel=1e-6)
+            checked += 1
+        assert checked >= 4
 
     def test_determinism_bitwise(self):
         params = FamilyParams.make(b1=-1, c1=4, d1=-3)

@@ -96,8 +96,10 @@ def _polylines(svg: str, stroke: str) -> list[list[tuple[float, float]]]:
 
 def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
     """The polylines' points drawn point by point, each read off its record by the
-    bisecting reader, through to_px and the -0.000 rule; a reversible periodic orbit
-    is half the points off its record, then their mirror images in reverse."""
+    bisecting reader, through to_px and the -0.000 rule.  On a reversible member the
+    start's record is followed, once the mirror start's record exists, by its mirror
+    images in reverse, then by the mirror start's record and, on a "reversible" periodic
+    orbit, by that record's mirror images in reverse: an equal share of the points each."""
     cx, cy = spec.width / 2.0, spec.height / 2.0
     scale = min(spec.width, spec.height) / 2.0 - MARGIN
 
@@ -111,15 +113,22 @@ def reference_polylines(verdict, spec: PortraitSpec) -> list[str]:
 
     lines = []
     for _, orbit in verdict.samples:
-        traj = orbit.trajectory
+        traj, mirror = orbit.trajectory, orbit.mirror_trajectory
         if traj is None or not traj.steps:
             continue
-        t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
-        if orbit.certificate == "reversible":
-            half = bisect_sample(traj, SAMPLES_PER_ORBIT // 2, traj.t_end)
-            samples = half + [(t, x, -y) for t, x, y in half[::-1]]
-        else:
+        if mirror is None:  # no mirror start: the start's record alone
+            t_stop = {"periodic": orbit.period, "escaping": traj.t_end}.get(orbit.tag, EXTRA_TIME)
             samples = bisect_sample(traj, SAMPLES_PER_ORBIT, min(t_stop, traj.t_end))
+        else:
+            closed = orbit.certificate == "reversible"
+            t_stop = mirror.t_end if closed or orbit.tag == "escaping" else min(EXTRA_TIME, mirror.t_end)
+            pieces = 2 + (1 + closed) * bool(mirror.steps)
+            n = SAMPLES_PER_ORBIT // pieces
+            half = bisect_sample(traj, n, traj.t_end)
+            samples = half + [(t, x, -y) for t, x, y in half[::-1]]
+            if mirror.steps:
+                other = bisect_sample(mirror, n, t_stop)
+                samples += other + ([(t, x, -y) for t, x, y in other[::-1]] if closed else [])
         assert len(samples) == SAMPLES_PER_ORBIT
         pts = [to_px(x, y) for _, x, y in samples]
         lines.append(" ".join(f"{fmt(px)},{fmt(py)}" for px, py in pts))
@@ -154,6 +163,19 @@ class TestDrawnFromRecords:
         assert all((v.certificate == "reversible") == flow._shape(vf)[2] for v in periodic)
         if base == dict(b1=1, c1=-4, d1=3):
             assert len(periodic) == 8
+
+    def test_escape_past_the_mirror_start_matches_the_reference_drawing(self):
+        # iii-line-a1's default fan has orbits that escape after the mirror start's carry:
+        # the start's record, its mirror in reverse and the mirror start's record, 200 each
+        params = FamilyParams.make(a1=1, b1=1, d1=-1)
+        vf = build_system(params)
+        verdict = global_center_verdict(params)
+        past = [v for _, v in verdict.samples if v.tag == "escaping" and v.mirror_trajectory]
+        assert len(past) >= 4 and all(v.mirror_trajectory.steps for v in past)
+        spec = PortraitSpec(width=300, height=300)
+        svg = render_portrait(vf, verdict, infinite_equilibria(vf), spec)
+        lines = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
+        assert [line.get("points") for line in lines] == reference_polylines(verdict, spec)
 
     def test_reversible_loop_is_drawn_closed(self):
         # on x' = y, y' = -x the half record from (1, 0) and its mirror make the unit circle

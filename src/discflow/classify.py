@@ -8,9 +8,9 @@ blow-up, which is all the global-center analysis requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .desing import linear_change, translate
 from .poly import Poly2, VectorField, X, Y
@@ -32,8 +32,7 @@ class PointType(str, Enum):
     LINEARLY_ZERO_NEEDS_BLOWUP = "linearly-zero-needs-blowup"
 
 
-@dataclass(frozen=True)
-class EquilibriumClass:
+class EquilibriumClass(NamedTuple):
     kind: PointType
     stability: str | None = None
 

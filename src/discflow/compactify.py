@@ -10,11 +10,13 @@ alone; Jacobians there come from `VectorField.jacobian` of a chart field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
 from .poly import Poly2, VectorField, X, Y
-from .roots import RealRoot, real_roots
+
+if TYPE_CHECKING:  # loaded where infinity is read, so `chart_field` alone never loads roots
+    from .roots import RealRoot
 
 
 class ChartId(str, Enum):
@@ -25,8 +27,7 @@ class ChartId(str, Enum):
     V2 = "V2"
 
 
-@dataclass(frozen=True)
-class ChartField:
+class ChartField(NamedTuple):
     """A vector field expressed in one local chart; v = 0 is infinity."""
 
     chart: ChartId
@@ -41,8 +42,7 @@ class ChartField:
         return {"chart": self.chart.value, "n_used": self.n_used, "u_dot": u_dot, "v_dot": v_dot}
 
 
-@dataclass(frozen=True)
-class InfinityEquilibrium:
+class InfinityEquilibrium(NamedTuple):
     chart: ChartId
     u: RealRoot
     multiplicity: int
@@ -51,8 +51,7 @@ class InfinityEquilibrium:
         return {"chart": self.chart.value, "u": self.u.to_json(), "multiplicity": self.multiplicity}
 
 
-@dataclass(frozen=True)
-class InfinityReport:
+class InfinityReport(NamedTuple):
     equilibria: tuple[InfinityEquilibrium, ...]
     line_of_equilibria: bool
     n_used: int
@@ -98,6 +97,8 @@ def infinite_equilibria(vf: VectorField) -> InfinityReport:
     zero at u = 0 is the origin of U2.  G = 0 means the whole circle consists
     of equilibria: only the line flag is set and no isolated points are reported.
     """
+    from .roots import RealRoot, real_roots
+
     n = vf.effective_degree
     g = vf.direction_form(n)
     equilibria: list[InfinityEquilibrium] = []

@@ -7,8 +7,8 @@ field.  All transforms are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import NotDivisible, Poly2, Scalar, VectorField, X, Y, rat
 
@@ -16,8 +16,7 @@ MAX_CHAIN_DEPTH = 8
 SHEAR_CANDIDATES = (1, -1, 2, -2)
 
 
-@dataclass(frozen=True)
-class CharacteristicPoly:
+class CharacteristicPoly(NamedTuple):
     """The direction form y*p_n - x*q_n of the lowest-order parts, n = order.
 
     Real linear factors give the characteristic directions at the origin;
@@ -118,8 +117,7 @@ def choose_shear_beta(vf: VectorField) -> Fraction:
     raise ValueError("no shear candidate frees the vertical direction")
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(NamedTuple):
     """One chain step; its input is the previous step's output, or the chain's start."""
 
     kind: str
@@ -136,8 +134,7 @@ class BlowupStep:
         }
 
 
-@dataclass(frozen=True)
-class BlowupChain:
+class BlowupChain(NamedTuple):
     start: VectorField
     steps: tuple[BlowupStep, ...]
 

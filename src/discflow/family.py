@@ -12,15 +12,16 @@ rationals.  Each global statement but (d) is one predicate: the hypotheses of
 a reduced normal form (aa1..aa4, bb5, bb7), then its remaining conditions.
 All decisions are exact over the rationals: the oracles return every matching
 condition set, since the sets genuinely overlap (the zero vector satisfies all
-of them).
+of them).  Parameters and reports are NamedTuples, so they unpack, compare and
+hash as the plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import Poly2, Scalar, VectorField, rat
 
@@ -31,8 +32,7 @@ class NotConserved(ValueError):
     """No polynomial first integral: a nonzero Lie derivative or divergence."""
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     a1: Fraction = Fraction(0)
     a2: Fraction = Fraction(0)
     b1: Fraction = Fraction(0)
@@ -60,7 +60,7 @@ class FamilyParams:
         return {name: str(getattr(self, name)) for name in PARAM_NAMES}
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return tuple(getattr(self, name) for name in PARAM_NAMES)
+        return tuple(self)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.as_tuple())
@@ -132,8 +132,7 @@ def g_invariant(params: FamilyParams) -> Fraction:
     return _im_product(a3, a3, a4, a4, a4)
 
 
-@dataclass(frozen=True)
-class CenterReport:
+class CenterReport(NamedTuple):
     matching_cases: tuple[str, ...]
     f_value: Fraction
     g_value: Fraction
@@ -150,8 +149,7 @@ class CenterReport:
         }
 
 
-@dataclass(frozen=True)
-class GlobalReport:
+class GlobalReport(NamedTuple):
     matching_statements: tuple[str, ...]
 
     @property

@@ -3,15 +3,15 @@
 Every coefficient is a `fractions.Fraction`; only `evaluate_float`, a float
 view for numerics, ever rounds.  Polynomials are sparse maps from exponent
 pairs to coefficients and are treated as immutable values, so they can be
-shared freely across threads.
+shared freely across threads.  A `VectorField` is the NamedTuple (p, q), which
+refuses two zero components when it is made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -256,16 +256,20 @@ class Poly2:
         return f"Poly2({self.text()})"
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """A planar polynomial vector field (p, q) with exact coefficients."""
-
+class _Components(NamedTuple):
     p: Poly2
     q: Poly2
 
-    def __post_init__(self):
-        if self.p.is_zero and self.q.is_zero:
+
+class VectorField(_Components):
+    """A planar polynomial vector field (p, q) with exact coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: Poly2, q: Poly2) -> "VectorField":
+        if p.is_zero and q.is_zero:
             raise ValueError("vector field components must not both be zero")
+        return super().__new__(cls, p, q)
 
     @property
     def effective_degree(self) -> int:

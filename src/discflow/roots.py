@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 CELL_BITS = 40  # an irrational root's cell is [k, k + 1] / 2**40, 2**-40 < 1e-12
 
 
-@dataclass(frozen=True)
-class RealRoot:
+class RealRoot(NamedTuple):
     """Exact-or-interval real algebraic number, with its exact enclosure [lo, hi].
 
     kind 'rational':  value == a == lo == hi

@@ -304,6 +304,31 @@ def test_decide_loads_no_numeric_layer(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "global-center"
 
 
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["decide"], 1),
+        (["compactify", "--chart", "u1"], 0),
+        (["blowup", "--chart", "u2", "--steps", "blowup,rescale:u:1"], 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_exact_commands_load_no_dataclasses(tmp_path, args, code):
+    # exact values are NamedTuples, so no exact command imports dataclasses (nor, with it,
+    # inspect); blowup reads no infinity report, so it never loads the root isolation either
+    params = write_params(tmp_path, b1="-1", c1="4", d1="-3")
+    unwanted = ("dataclasses", "inspect") + (("discflow.roots",) if args[0] == "blowup" else ())
+    argv = [*args, "--params", params, "--out", str(tmp_path / "out.json")]
+    probe = (
+        f"import sys; from discflow.cli import main; code = main({argv!r}); "
+        f"print(code, [m for m in {unwanted!r} if m in sys.modules])"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"{code} []\n"
+    assert json.loads((tmp_path / "out.json").read_text())
+
+
 def test_every_exported_name_resolves():
     probe = "import discflow; [getattr(discflow, name) for name in discflow.__all__]; from discflow import *"
     run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True)

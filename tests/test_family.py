@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -239,10 +238,10 @@ class TestNormalForms:
                 p = FamilyParams.make(**kwargs)
                 assert letter in global_cases(p).matching_statements
                 for name in fixed:  # the shift breaks one hypothesis and no other condition
-                    off = dataclasses.replace(p, **{name: getattr(p, name) + F(1, 2)})
+                    off = p._replace(**{name: getattr(p, name) + F(1, 2)})
                     assert letter not in global_cases(off).matching_statements, (letter, kwargs, name)
                 # every statement but (d) lies on a normal form with a2 = 0
-                off = dataclasses.replace(p, a2=F(1))
+                off = p._replace(a2=F(1))
                 assert global_cases(off).matching_statements == (), (letter, kwargs)
 
     @pytest.mark.parametrize(

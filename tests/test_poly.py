@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from discflow.classify import classify_from_jacobian
+from discflow.compactify import chart_field, infinite_equilibria
+from discflow.desing import characteristic_directions, run_chain
+from discflow.family import FamilyParams, build_system, center_cases, global_cases
 from discflow.poly import NotDivisible, Poly2, VectorField, X, Y
+from discflow.roots import RealRoot
 
 
 def test_zero_degree_sentinel():
@@ -113,8 +118,32 @@ def test_vector_field_invariants():
     assert vf.effective_degree == 1
     assert vf.is_equilibrium((0, 0))
     assert vf.jacobian((0, 0)) == [[0, 1], [-1, 0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vector field components must not both be zero$"):
         VectorField(Poly2.zero(), Poly2.zero())
+    assert VectorField(Poly2.zero(), Y).p.is_zero
+
+
+def _exact_values():
+    params = FamilyParams.make(b1=-1, c1=4, d1=-3)
+    vf = build_system(params)
+    infinity = infinite_equilibria(vf)
+    chain = run_chain(chart_field(vf, "U2").field, [("blowup",)])
+    return [
+        params, center_cases(params), global_cases(params), vf, RealRoot.surd(1, 2, 3),
+        chart_field(vf, "U1"), infinity.equilibria[0], infinity,
+        characteristic_directions(VectorField(Y, -X)), chain.steps[0], chain,
+        classify_from_jacobian([[0, 1], [-1, 0]]),
+    ]
+
+
+@pytest.mark.parametrize("value", _exact_values(), ids=lambda v: type(v).__name__)
+def test_exact_values_are_field_tuples(value):
+    fields = tuple(getattr(value, name) for name in value._fields)
+    assert tuple(value) == fields and value == fields and hash(value) == hash(fields)
+    assert type(value)(*fields) == value
+    for name in (value._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def test_vector_field_direction_form():
